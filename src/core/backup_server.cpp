@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <optional>
 #include <thread>
 
 #include "common/channel.hpp"
@@ -73,31 +74,31 @@ Status BackupServer::attach_replica(std::size_t part) {
     return {Errc::kInvalidArgument,
             "server already hosts a replica of this part"};
   }
-  Result<index::DiskIndex> idx = index::DiskIndex::create(
-      mint_device(config_.index_device_factory, &index_model_),
-      config_.index_params);
+  Result<index::DiskIndex> idx =
+      index::DiskIndex::create(mint_index_device(), config_.index_params);
   if (!idx.ok()) return {idx.error().code, idx.error().message};
-  adopt_replica(make_replica(part, std::move(idx).value()));
+  adopt_replica(part, std::move(idx).value());
   return Status::Ok();
 }
 
-void BackupServer::adopt_replica(std::unique_ptr<IndexPartReplica> replica) {
-  const std::size_t part = replica->part();
-  replicas_[part] = std::move(replica);
+void BackupServer::adopt_replica(std::size_t part, index::DiskIndex idx) {
+  replicas_[part] = std::make_unique<IndexPart>(
+      std::move(idx), config_.chunk_store.io_buckets,
+      config_.chunk_store.siu_threshold, Dedup2Options{.threads = 1},
+      [this] { return mint_index_device(); });
 }
 
 std::unique_ptr<storage::BlockDevice> BackupServer::mint_index_device() {
   return mint_device(config_.index_device_factory, &index_model_);
 }
 
-std::unique_ptr<IndexPartReplica> BackupServer::make_replica(
-    std::size_t part, index::DiskIndex idx) {
-  return std::make_unique<IndexPartReplica>(
-      part, std::move(idx), config_.chunk_store.io_buckets,
-      config_.chunk_store.siu_threshold,
-      [factory = config_.index_device_factory, model = &index_model_] {
-        return mint_device(factory, model);
-      });
+void BackupServer::install_staged(StagedCopy copy) {
+  if (copy.via_store) {
+    config_.index_params.skip_bits = copy.idx.params().skip_bits;
+    chunk_store_->rebase_index(std::move(copy.idx));
+  } else {
+    adopt_replica(copy.part, std::move(copy.idx));
+  }
 }
 
 Result<Dedup2Result> BackupServer::run_dedup2(bool force_siu) {
@@ -109,113 +110,88 @@ Result<Dedup2Result> BackupServer::run_dedup2(bool force_siu) {
   // every batch has replayed it (later batches still need its records).
   const std::size_t batch_cap = config_.chunk_store.cache_params.capacity;
   const std::size_t threads = config_.chunk_store.dedup2.resolved_threads();
-  if (threads <= 1) {
-    for (std::size_t pos = 0; pos < undetermined.size();) {
-      const std::size_t n = std::min(batch_cap, undetermined.size() - pos);
-      std::vector<Fingerprint> batch(undetermined.begin() + pos,
-                                     undetermined.begin() + pos + n);
-      pos += n;
-      ++result.sil_runs;
 
-      std::vector<std::uint8_t> found;
-      Result<SilResult> sil = chunk_store_->sil(batch, found);
-      if (!sil.ok()) return sil.error();
-      result.sil_seconds += sil.value().seconds;
-      result.duplicates +=
-          sil.value().found_on_disk + sil.value().found_pending;
-
-      std::vector<Fingerprint> new_fps;
-      new_fps.reserve(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (found[i] == 0) new_fps.push_back(batch[i]);
-      }
-
-      Result<StoreResult> stored = chunk_store_->store_new_chunks(new_fps);
-      if (!stored.ok()) return stored.error();
-      result.new_chunks += stored.value().new_chunks;
-      result.new_bytes += stored.value().new_bytes;
-      chunk_store_->add_pending(
-          std::span<const IndexEntry>(stored.value().entries));
+  // Chunk storing for one batch's SIL survivors.
+  Status store_status = Status::Ok();
+  auto store = [&](const std::vector<Fingerprint>& new_fps) {
+    Result<StoreResult> stored = chunk_store_->store_new_chunks(new_fps);
+    if (!stored.ok()) {
+      store_status = stored.status();
+      return;
     }
-  } else {
-    // Pipelined dedup-2: SIL for batch b+1 (itself sharded across the
-    // pool) overlaps chunk storing for batch b on a dedicated consumer
-    // thread. Safe because take_undetermined() deduplicates, so no
-    // fingerprint appears in two batches: a batch's SIL outcome cannot
-    // depend on an in-flight store of an earlier batch — except through
-    // the checking set, which both stages access under its mutex and
-    // which only ever flips a duplicate verdict for fingerprints the
-    // earlier batch owns. The stages also drive disjoint modeled clocks
-    // (index vs log/repository), and the single consumer seals containers
-    // in batch order, so container IDs, metadata, and modeled seconds all
-    // match the serial schedule exactly.
-    struct StoreJob {
-      std::vector<Fingerprint> new_fps;
-    };
-    Channel<StoreJob> jobs(
+    result.new_chunks += stored.value().new_chunks;
+    result.new_bytes += stored.value().new_bytes;
+    chunk_store_->add_pending(
+        std::span<const IndexEntry>(stored.value().entries));
+  };
+  // Pipelined dedup-2 (threads > 1): SIL for batch b+1 (itself sharded
+  // across the pool) overlaps chunk storing for batch b on a dedicated
+  // consumer thread. Safe because take_undetermined() deduplicates, so no
+  // fingerprint appears in two batches: a batch's SIL outcome cannot
+  // depend on an in-flight store of an earlier batch — except through
+  // the checking set, which both stages access under its mutex and
+  // which only ever flips a duplicate verdict for fingerprints the
+  // earlier batch owns. The stages also drive disjoint modeled clocks
+  // (index vs log/repository), and the single consumer seals containers
+  // in batch order, so container IDs, metadata, and modeled seconds all
+  // match the serial schedule exactly.
+  std::optional<Channel<std::vector<Fingerprint>>> jobs;
+  std::atomic<bool> store_failed{false};
+  std::thread store_stage;
+  if (threads > 1) {
+    jobs.emplace(
         std::max<std::size_t>(config_.chunk_store.dedup2.pipeline_depth, 1));
-    struct StoreOutcome {
-      Status status = Status::Ok();
-      std::uint64_t new_chunks = 0;
-      std::uint64_t new_bytes = 0;
-    } outcome;
-    std::atomic<bool> store_failed{false};
-    std::thread store_stage([&] {
-      while (auto job = jobs.receive()) {
+    store_stage = std::thread([&] {
+      while (auto new_fps = jobs->receive()) {
         if (store_failed.load(std::memory_order_relaxed)) continue;  // drain
-        Result<StoreResult> stored =
-            chunk_store_->store_new_chunks(job->new_fps);
-        if (!stored.ok()) {
-          outcome.status = stored.status();
+        store(*new_fps);
+        if (!store_status.ok()) {
           store_failed.store(true, std::memory_order_release);
-          continue;
         }
-        outcome.new_chunks += stored.value().new_chunks;
-        outcome.new_bytes += stored.value().new_bytes;
-        chunk_store_->add_pending(
-            std::span<const IndexEntry>(stored.value().entries));
       }
     });
-
-    Status sil_status = Status::Ok();
-    for (std::size_t pos = 0; pos < undetermined.size();) {
-      if (store_failed.load(std::memory_order_acquire)) break;
-      const std::size_t n = std::min(batch_cap, undetermined.size() - pos);
-      std::vector<Fingerprint> batch(undetermined.begin() + pos,
-                                     undetermined.begin() + pos + n);
-      pos += n;
-      ++result.sil_runs;
-
-      std::vector<std::uint8_t> found;
-      Result<SilResult> sil = chunk_store_->sil(batch, found);
-      if (!sil.ok()) {
-        sil_status = sil.status();
-        break;
-      }
-      result.sil_seconds += sil.value().seconds;
-      result.duplicates +=
-          sil.value().found_on_disk + sil.value().found_pending;
-
-      StoreJob job;
-      job.new_fps.reserve(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (found[i] == 0) job.new_fps.push_back(batch[i]);
-      }
-      jobs.send(std::move(job));
-    }
-    jobs.close();
-    store_stage.join();
-    // The store stage's failure takes precedence: in program order it
-    // belongs to an earlier batch than anything the producer saw.
-    if (!outcome.status.ok()) {
-      return Error{outcome.status.code(), outcome.status.message()};
-    }
-    if (!sil_status.ok()) {
-      return Error{sil_status.code(), sil_status.message()};
-    }
-    result.new_chunks = outcome.new_chunks;
-    result.new_bytes = outcome.new_bytes;
   }
+
+  Status sil_status = Status::Ok();
+  for (std::size_t pos = 0; pos < undetermined.size();) {
+    if (store_failed.load(std::memory_order_acquire)) break;
+    const std::size_t n = std::min(batch_cap, undetermined.size() - pos);
+    std::vector<Fingerprint> batch(undetermined.begin() + pos,
+                                   undetermined.begin() + pos + n);
+    pos += n;
+    ++result.sil_runs;
+
+    std::vector<std::uint8_t> found;
+    Result<SilResult> sil = chunk_store_->sil(batch, found);
+    if (!sil.ok()) {
+      sil_status = sil.status();
+      break;
+    }
+    result.sil_seconds += sil.value().seconds;
+    result.duplicates += sil.value().found_on_disk + sil.value().found_pending;
+
+    std::vector<Fingerprint> new_fps;
+    new_fps.reserve(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (found[i] == 0) new_fps.push_back(batch[i]);
+    }
+    if (jobs.has_value()) {
+      jobs->send(std::move(new_fps));
+      continue;
+    }
+    store(new_fps);
+    if (!store_status.ok()) break;
+  }
+  if (jobs.has_value()) {
+    jobs->close();
+    store_stage.join();
+  }
+  // The store stage's failure takes precedence: in program order it
+  // belongs to an earlier batch than anything the producer saw.
+  if (!store_status.ok()) {
+    return Error{store_status.code(), store_status.message()};
+  }
+  if (!sil_status.ok()) return Error{sil_status.code(), sil_status.message()};
   chunk_store_->clear_log();
 
   if (force_siu || chunk_store_->siu_due()) {

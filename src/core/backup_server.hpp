@@ -12,7 +12,7 @@
 #include "core/chunk_store.hpp"
 #include "core/director.hpp"
 #include "core/file_store.hpp"
-#include "core/index_replica.hpp"
+#include "core/index_part.hpp"
 #include "filter/preliminary_filter.hpp"
 #include "index/disk_index.hpp"
 #include "net/endpoint.hpp"
@@ -40,6 +40,16 @@ struct BackupServerConfig {
   /// to whatever these return.
   std::function<std::unique_ptr<storage::BlockDevice>()> log_device_factory;
   std::function<std::unique_ptr<storage::BlockDevice>()> index_device_factory;
+};
+
+/// A rebuilt index copy of partition `part` staged on freshly minted
+/// devices of server `server` (a migration or maintenance prepare), until
+/// its commit swaps it in through BackupServer::install_staged.
+struct StagedCopy {
+  std::size_t part;
+  std::size_t server;
+  bool via_store;  // the ChunkStore's primary index, else a replica
+  index::DiskIndex idx;
 };
 
 /// Snapshot of a server's simulated component clocks; benches diff two
@@ -118,35 +128,24 @@ class BackupServer {
   [[nodiscard]] net::Endpoint& endpoint() noexcept { return *endpoint_; }
 
   /// Host the backup copy of index part `part` here (cluster replication,
-  /// DESIGN.md §5g): a second DiskIndex minted by the same device factory
+  /// DESIGN.md §5g): a second IndexPart minted by the same device factory
   /// and params as the primary — identical entry sequences yield
-  /// byte-identical images — metered on this server's index disk. A server
-  /// may host several replica parts at once (post-drain maps do this).
+  /// byte-identical images — metered on this server's index disk, always
+  /// on the serial scans. A server may host several replica parts at once
+  /// (post-drain maps do this).
   [[nodiscard]] Status attach_replica(std::size_t part);
-  /// Adopt an externally built replica (elastic migration commit hands
-  /// over replicas whose indexes the prepare stage already populated).
-  void adopt_replica(std::unique_ptr<IndexPartReplica> replica);
-  void detach_replica(std::size_t part) { replicas_.erase(part); }
+  /// Host (or replace) the replica of `part` around an already populated
+  /// index. Infallible — commit-safe.
+  void adopt_replica(std::size_t part, index::DiskIndex idx);
   void detach_all_replicas() noexcept { replicas_.clear(); }
   [[nodiscard]] bool has_part_replica(std::size_t part) const noexcept {
     return replicas_.contains(part);
   }
-  [[nodiscard]] IndexPartReplica& part_replica(std::size_t part) {
+  [[nodiscard]] IndexPart& part_replica(std::size_t part) {
     return *replicas_.at(part);
   }
-  [[nodiscard]] const IndexPartReplica& part_replica(std::size_t part) const {
+  [[nodiscard]] const IndexPart& part_replica(std::size_t part) const {
     return *replicas_.at(part);
-  }
-  /// Legacy single-replica view (SPMD driver compatibility): the first
-  /// hosted replica part. Identity maps host exactly one per server.
-  [[nodiscard]] bool has_replica() const noexcept {
-    return !replicas_.empty();
-  }
-  [[nodiscard]] IndexPartReplica& replica() noexcept {
-    return *replicas_.begin()->second;
-  }
-  [[nodiscard]] const IndexPartReplica& replica() const noexcept {
-    return *replicas_.begin()->second;
   }
 
   // ---- Elastic repartitioning hooks (core/cluster split/drain) ----
@@ -155,18 +154,12 @@ class BackupServer {
   /// primary index), for staging a rebuilt partition during migration.
   [[nodiscard]] std::unique_ptr<storage::BlockDevice> mint_index_device();
 
-  /// Build (but do not attach) a replica of `part` around an index the
-  /// migration prepare stage populated. Infallible — commit-safe.
-  [[nodiscard]] std::unique_ptr<IndexPartReplica> make_replica(
-      std::size_t part, index::DiskIndex idx);
-
-  /// Swap the primary ChunkStore index for a rebuilt one (split commit:
-  /// the partition width changed, so skip_bits did too). Keeps the
-  /// server's config in agreement so later replica mints match.
-  void rebase_chunk_store_index(index::DiskIndex idx) noexcept {
-    config_.index_params.skip_bits = idx.params().skip_bits;
-    chunk_store_->rebase_index(std::move(idx));
-  }
+  /// Swap a staged copy in: the primary's ChunkStore index is rebased
+  /// (keeping the server's config in agreement, since a split changes
+  /// skip_bits and later replica mints must match), a replica copy is
+  /// (re)adopted. Pure in-memory, cannot fail — the one commit step of
+  /// migrations and maintenance rounds alike.
+  void install_staged(StagedCopy copy);
 
  private:
   std::size_t server_id_;
@@ -186,7 +179,7 @@ class BackupServer {
   std::unique_ptr<net::Endpoint> endpoint_;
   /// Backup copies of remote partitions hosted here, keyed by part id
   /// (ordered, so commit-time iteration is deterministic).
-  std::map<std::size_t, std::unique_ptr<IndexPartReplica>> replicas_;
+  std::map<std::size_t, std::unique_ptr<IndexPart>> replicas_;
 };
 
 }  // namespace debar::core

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
+#include <functional>
 #include <mutex>
-#include <unordered_set>
+#include <numeric>
 
 #include "common/fmt.hpp"
 #include "common/thread_pool.hpp"
-#include "core/cluster_node.hpp"
-#include "core/maintenance.hpp"
 #include "net/message.hpp"
 
 namespace debar::core {
@@ -30,15 +28,6 @@ double max_delta(const std::vector<double>& before,
 struct PeerFailure {
   std::size_t observer;
   std::size_t peer;
-};
-
-/// One rebuilt partition copy a migration's prepare stage produced: where
-/// it goes and the freshly loaded index the commit stage hands over.
-struct StagedCopy {
-  std::size_t part;
-  std::size_t slot;
-  bool via_store;
-  index::DiskIndex idx;
 };
 
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
@@ -67,7 +56,7 @@ Cluster::Cluster(ClusterConfig config)
                                        &director_));
   }
   // Replicated index parts (DESIGN.md §5g): every partition copy the map
-  // places off the owner's ChunkStore is hosted as an IndexPartReplica.
+  // places off the owner's ChunkStore is hosted as a replica IndexPart.
   // Attach in (slot ascending, part ascending) order so the index-device
   // mint sequence is deterministic — identity maps reproduce the classic
   // "all primaries, then one replica per server" order exactly.
@@ -92,13 +81,9 @@ Cluster::Cluster(ClusterConfig config)
                    ? config_.transport_factory->create()
                    : std::make_unique<net::LoopbackTransport>();
   for (std::size_t k = 0; k < n_slots; ++k) {
-    const auto id = static_cast<net::EndpointId>(k);
-    Status registered = transport_->register_endpoint(id, &servers_[k]->nic());
-    assert(registered.ok());
-    (void)registered;
-    servers_[k]->attach_endpoint(
-        std::make_unique<net::Endpoint>(transport_.get(), id, config_.retry,
-                                        config_.wire_codec));
+    Status attached = attach_endpoint(k, *servers_[k]);
+    assert(attached.ok());
+    (void)attached;
   }
   // The restore-stream client: no modeled NIC of its own (the serving
   // server's wire is the bottleneck the paper measures).
@@ -109,6 +94,32 @@ Cluster::Cluster(ClusterConfig config)
                                                      client_id(),
                                                      config_.retry,
                                                      config_.wire_codec);
+  rebuild_nodes();
+}
+
+Status Cluster::attach_endpoint(std::size_t slot, BackupServer& server) {
+  const auto id = static_cast<net::EndpointId>(slot);
+  if (Status registered = transport_->register_endpoint(id, &server.nic());
+      !registered.ok()) {
+    return registered;
+  }
+  server.attach_endpoint(std::make_unique<net::Endpoint>(
+      transport_.get(), id, config_.retry, config_.wire_codec));
+  return Status::Ok();
+}
+
+void Cluster::rebuild_nodes() {
+  nodes_.clear();
+  nodes_.reserve(servers_.size());
+  for (std::size_t k = 0; k < servers_.size(); ++k) {
+    // A node's barrier patience is the endpoints' receive budget, so the
+    // in-process receives wait exactly as long as a bare expect().
+    nodes_.emplace_back(
+        ClusterNodeConfig{.node = k,
+                          .map = map_,
+                          .round_timeout = config_.retry.receive_timeout},
+        servers_[k].get());
+  }
 }
 
 Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
@@ -123,28 +134,29 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
   auto reachable = [&](std::size_t k) {
     return transport_->reachable(static_cast<net::EndpointId>(k));
   };
-
-  auto nic_clocks = [&] {
+  auto clocks = [&](double ServerClocks::*device) {
     std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = servers_[i]->clocks().nic;
-    return v;
-  };
-  auto index_clocks = [&] {
-    std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = servers_[i]->clocks().index_disk;
-    return v;
-  };
-  auto log_clocks = [&] {
-    std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = servers_[i]->clocks().log_disk;
+    for (std::size_t i = 0; i < n; ++i) v[i] = servers_[i]->clocks().*device;
     return v;
   };
 
+  // Per-server phase outcome (set by the node steps; checked at barriers).
+  std::vector<Status> phase_status(n);
+  auto check_phase_status = [&]() -> Status {
+    for (const Status& s : phase_status) {
+      if (!s.ok()) return s;
+    }
+    return Status::Ok();
+  };
   std::mutex failure_mutex;
   std::vector<PeerFailure> failures;
-  auto note_failure = [&](std::size_t observer, std::size_t peer) {
+  // Fold one node step's outcome into the phase's records.
+  auto record = [&](std::size_t k, StepOutcome outcome) {
+    if (!outcome.status.ok()) phase_status[k] = std::move(outcome.status);
     std::lock_guard lock(failure_mutex);
-    failures.push_back({observer, peer});
+    for (const std::size_t peer : outcome.unreachable) {
+      failures.push_back({k, peer});
+    }
   };
   // Distill the phase's failure records into the peers to blame. A dead
   // observer's complaints about healthy peers are noise (its own sends
@@ -154,11 +166,7 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
     std::lock_guard lock(failure_mutex);
     std::vector<std::size_t> bad;
     for (const PeerFailure& f : failures) {
-      const bool observer_dead =
-          !transport_->reachable(static_cast<net::EndpointId>(f.observer));
-      const bool peer_dead =
-          !transport_->reachable(static_cast<net::EndpointId>(f.peer));
-      if (observer_dead && !peer_dead) continue;
+      if (!reachable(f.observer) && reachable(f.peer)) continue;
       bad.push_back(f.peer);
     }
     failures.clear();
@@ -173,25 +181,6 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
                         "unreachable",
                         tag, bad.size())};
   };
-  // Per-server phase outcome (set by worker lambdas; checked at barriers).
-  std::vector<Status> phase_status(n);
-  auto check_phase_status = [&]() -> Status {
-    for (const Status& s : phase_status) {
-      if (!s.ok()) return s;
-    }
-    return Status::Ok();
-  };
-  // Receive-side epoch validation: a batch minted against a different map
-  // must never be folded into this round (DESIGN.md §5j epoch rules).
-  auto epoch_ok = [&](std::uint32_t got, std::size_t receiver,
-                      std::size_t sender) {
-    if (got == map_.epoch()) return true;
-    phase_status[receiver] = Status(
-        Errc::kInvalidArgument,
-        format("epoch mismatch: server {} sent epoch {}, map is at {}",
-               sender, got, map_.epoch()));
-    return false;
-  };
 
   // Round-boundary health probe (mark_unreachable used to be permanent):
   // servers the transport reaches again rejoin assignment, and any
@@ -202,34 +191,32 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
 
   // Round membership: alive[k] starts from the map (drained slots never
   // participate) and flips when the transport proves server k dark during
-  // this round. host[p] is the copy INDEX serving partition p's PSIL —
-  // the preferred copy until phase-A failover moves it to the other one.
-  std::vector<bool> alive(n);
-  for (std::size_t k = 0; k < n; ++k) alive[k] = map_.is_live(k);
-  std::vector<std::size_t> host(m, 0);
-  auto serve = [&](std::size_t p) { return map_.copy(p, host[p]).server; };
-  auto hosted_parts = [&](std::size_t t) { return map_.parts_hosted_by(t); };
+  // this round. serving[p] runs partition p's PSIL — the preferred copy's
+  // holder until phase-A failover moves it to the other copy's.
+  RoundMembership members = RoundMembership::of(map_);
+  std::vector<bool>& alive = members.alive;
+  // One node step on every live server concurrently (one parallel_for per
+  // phase step).
+  auto step_all = [&](const std::function<StepOutcome(ClusterNode&)>& step) {
+    parallel_for(n, n, [&](std::size_t k) {
+      if (alive[k]) record(k, step(nodes_[k]));
+    });
+  };
+  auto sum = [&](std::uint64_t NodeRoundResult::*field) {
+    std::uint64_t total = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (alive[k]) total += nodes_[k].round_result().*field;
+    }
+    return total;
+  };
 
   // ---- Phase A: take undetermined sets and exchange by routing prefix.
-  // outbox[from][part]: the fingerprint subsets in flight; an empty batch
-  // still ships, so every pair exchanges one message per phase.
   phase("A");
-  std::vector<std::vector<std::vector<Fingerprint>>> outbox(
-      n, std::vector<std::vector<Fingerprint>>(m));
-  std::vector<std::vector<Fingerprint>> local_undetermined(n);
   // Re-drain on abort: a round that never reached chunk storing puts the
   // fingerprints back so the next round resolves them.
   auto restore_undetermined = [&] {
-    parallel_for(n, n, [&](std::size_t s) {
-      servers_[s]->file_store().restore_undetermined(
-          std::move(local_undetermined[s]));
-      local_undetermined[s].clear();
-    });
+    parallel_for(n, n, [&](std::size_t s) { nodes_[s].abandon_round(); });
   };
-
-  // part_inbox[part][origin]: what the part's current host has collected.
-  std::vector<std::vector<net::FingerprintBatch>> part_inbox(
-      m, std::vector<net::FingerprintBatch>(n));
   // Exclude a server the transport proved dark: restore its undetermined
   // set for a later round, and drop everything it contributed — its
   // queries must not be answered (a dead origin must never become a
@@ -239,23 +226,12 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
     alive[b] = false;
     result.skipped_servers.push_back(b);
     director_.mark_unreachable(b);
-    servers_[b]->file_store().restore_undetermined(
-        std::move(local_undetermined[b]));
-    local_undetermined[b].clear();
-    for (std::size_t p = 0; p < m; ++p) {
-      outbox[b][p].clear();
-      part_inbox[p][b] = net::FingerprintBatch{};
-    }
+    nodes_[b].abandon_round();
+    for (ClusterNode& node : nodes_) node.drop_origin(b);
   };
 
-  const std::vector<double> nic_a0 = nic_clocks();
-  parallel_for(n, n, [&](std::size_t s) {
-    if (!alive[s]) return;
-    std::vector<Fingerprint> fps =
-        servers_[s]->file_store().take_undetermined();
-    for (const Fingerprint& fp : fps) outbox[s][owner_of(fp)].push_back(fp);
-    local_undetermined[s] = std::move(fps);
-  });
+  const std::vector<double> nic_a0 = clocks(&ServerClocks::nic);
+  parallel_for(n, n, [&](std::size_t s) { nodes_[s].begin_round(alive[s]); });
 
   // Failover-aware exchange: ship every wanted part to its current host,
   // blame the peers the transport proves dark, re-host their partitions
@@ -263,65 +239,31 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
   // completes, aborts (some partition lost both copies), or buries at
   // least one server — so the loop runs at most n times.
   std::vector<std::size_t> wanted(m);
-  for (std::size_t p = 0; p < m; ++p) wanted[p] = p;
+  std::iota(wanted.begin(), wanted.end(), std::size_t{0});
   while (!wanted.empty()) {
-    parallel_for(n, n, [&](std::size_t s) {
-      if (!alive[s]) return;
-      // Buffered sends + per-destination flush: with coalescing on, all
-      // parts hosted by one peer leave as a single jumbo frame, in the
-      // same ascending-part order the receive barrier expects.
-      for (const std::size_t p : wanted) {
-        const std::size_t k = serve(p);
-        if (k == s) continue;
-        Status sent = servers_[s]->endpoint().send_buffered(
-            static_cast<net::EndpointId>(k),
-            net::FingerprintBatch{outbox[s][p], map_.epoch()});
-        if (!sent.ok()) note_failure(s, k);
-      }
-      for (const std::size_t p : wanted) {
-        const std::size_t k = serve(p);
-        if (k == s) continue;
-        Status flushed =
-            servers_[s]->endpoint().flush(static_cast<net::EndpointId>(k));
-        if (!flushed.ok()) note_failure(s, k);
-      }
+    step_all([&](ClusterNode& node) {
+      return node.send_queries(members, wanted);
     });
-    // Receive barrier: each part's host collects one batch per origin
-    // (its own subset never crosses the wire).
-    parallel_for(n, n, [&](std::size_t k) {
-      if (!alive[k]) return;
-      for (const std::size_t p : wanted) {
-        if (serve(p) != k) continue;
-        part_inbox[p][k].fps = outbox[k][p];
-        for (std::size_t s = 0; s < n; ++s) {
-          if (s == k || !alive[s]) continue;
-          Result<net::FingerprintBatch> batch =
-              servers_[k]->endpoint().expect<net::FingerprintBatch>(
-                  static_cast<net::EndpointId>(s));
-          if (!batch.ok()) {
-            note_failure(k, s);
-            continue;
-          }
-          if (!epoch_ok(batch.value().epoch, k, s)) continue;
-          part_inbox[p][s] = std::move(batch.value());
-        }
-      }
+    step_all([&](ClusterNode& node) {
+      return node.collect_queries(members, wanted);
     });
     const std::vector<std::size_t> bad = blamed_peers();
     if (bad.empty()) break;
     for (const std::size_t b : bad) exclude_server(b);
     std::vector<std::size_t> rerun;
     for (std::size_t p = 0; p < m; ++p) {
-      if (alive[serve(p)]) continue;
-      const std::size_t other_host = 1 - host[p];
-      const std::size_t other = map_.copy(p, other_host).server;
-      if (!replicated || !alive[other]) {
+      if (alive[members.serving[p]]) continue;
+      const std::size_t preferred = map_.copy(p, 0).server;
+      const std::size_t other = replicated && members.serving[p] == preferred
+                                    ? map_.copy(p, 1).server
+                                    : preferred;
+      if (!alive[other]) {
         // Both copies of partition p are dark: all-or-nothing abort,
         // exactly as an unreplicated round.
         restore_undetermined();
         return degrade(bad, "A");
       }
-      host[p] = other_host;
+      members.serving[p] = other;
       ++result.failovers;
       rerun.push_back(p);
     }
@@ -331,108 +273,26 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
     restore_undetermined();
     return Error{s.code(), s.message()};
   }
-  for (const auto& fps : local_undetermined) result.undetermined += fps.size();
+  result.undetermined = sum(&NodeRoundResult::undetermined);
 
   // ---- Phase B: PSIL on every partition's current host, concurrently.
-  // Verdicts are positions into each origin's batch; origin batches are
-  // sorted (take_undetermined sorts), so walking unique fingerprints in
-  // order yields strictly ascending positions per origin — exactly what
-  // VerdictBatch's delta encoding wants.
   phase("B");
-  // verdict_out[part][origin], produced by the part's host.
-  std::vector<std::vector<net::VerdictBatch>> verdict_out(
-      m, std::vector<net::VerdictBatch>(n));
-  std::atomic<std::uint64_t> dup_count{0};
-
-  const std::vector<double> idx_b0 = index_clocks();
-  parallel_for(n, n, [&](std::size_t k) {
-    if (!alive[k]) return;
-    for (std::size_t p = 0; p < m; ++p) {
-      if (serve(p) != k) continue;
-      // The designated-storer resolution is shared with the SPMD per-node
-      // driver (core/cluster_node.hpp), so both executions of a round
-      // issue identical verdicts. The serving copy may be this server's
-      // own chunk store or a hosted replica — the map says which.
-      std::uint64_t dups = 0;
-      const bool via_store = map_.copy(p, host[p]).via_store;
-      PartSilFn lookup =
-          via_store ? PartSilFn([&, k](const std::vector<Fingerprint>& fps,
-                                       std::vector<std::uint8_t>& found) {
-            return servers_[k]->chunk_store().sil(fps, found);
-          })
-                    : PartSilFn([&, k, p](const std::vector<Fingerprint>& fps,
-                                          std::vector<std::uint8_t>& found) {
-                        return servers_[k]->part_replica(p).sil(fps, found);
-                      });
-      Result<std::vector<net::VerdictBatch>> verdicts =
-          resolve_psil(lookup, part_inbox[p], &dups);
-      if (!verdicts.ok()) {
-        phase_status[k] = Status(verdicts.error().code,
-                                 verdicts.error().message);
-        return;
-      }
-      verdict_out[p] = std::move(verdicts.value());
-      dup_count.fetch_add(dups, std::memory_order_relaxed);
-    }
-  });
+  const std::vector<double> idx_b0 = clocks(&ServerClocks::index_disk);
+  step_all([&](ClusterNode& node) { return node.run_psil(members); });
   if (Status s = check_phase_status(); !s.ok()) {
     restore_undetermined();
     return Error{s.code(), s.message()};
   }
-  result.duplicates = dup_count.load();
-  result.sil_seconds = max_delta(idx_b0, index_clocks());
+  result.duplicates = sum(&NodeRoundResult::duplicates);
+  result.sil_seconds = max_delta(idx_b0, clocks(&ServerClocks::index_disk));
 
   // ---- Phase C: results return to their origins (network only). A peer
   // that dies here aborts the whole round, replicas or not: its queries
   // are already folded into completed PSIL verdicts, so excising it
   // mid-round could leave a designated storer that never stores.
   phase("C");
-  parallel_for(n, n, [&](std::size_t k) {
-    if (!alive[k]) return;
-    for (std::size_t p = 0; p < m; ++p) {
-      if (serve(p) != k) continue;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (s == k || !alive[s]) continue;
-        Status sent = servers_[k]->endpoint().send_buffered(
-            static_cast<net::EndpointId>(s), verdict_out[p][s]);
-        if (!sent.ok()) note_failure(k, s);
-      }
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == k || !alive[s]) continue;
-      Status flushed =
-          servers_[k]->endpoint().flush(static_cast<net::EndpointId>(s));
-      if (!flushed.ok()) note_failure(k, s);
-    }
-  });
-  // verdict_inbox[origin][part].
-  std::vector<std::vector<net::VerdictBatch>> verdict_inbox(
-      n, std::vector<net::VerdictBatch>(m));
-  parallel_for(n, n, [&](std::size_t s) {
-    if (!alive[s]) return;
-    for (std::size_t p = 0; p < m; ++p) {
-      const std::size_t k = serve(p);
-      if (k == s) {
-        verdict_inbox[s][p] = std::move(verdict_out[p][s]);
-        continue;
-      }
-      Result<net::VerdictBatch> verdict =
-          servers_[s]->endpoint().expect<net::VerdictBatch>(
-              static_cast<net::EndpointId>(k));
-      if (!verdict.ok()) {
-        note_failure(s, k);
-        continue;
-      }
-      if (verdict.value().query_count != outbox[s][p].size()) {
-        phase_status[s] =
-            Status(Errc::kCorrupt,
-                   format("verdict from {} answers {} queries, {} were asked",
-                          k, verdict.value().query_count, outbox[s][p].size()));
-        continue;
-      }
-      verdict_inbox[s][p] = std::move(verdict.value());
-    }
-  });
+  step_all([&](ClusterNode& node) { return node.send_verdicts(members); });
+  step_all([&](ClusterNode& node) { return node.collect_verdicts(members); });
   if (std::vector<std::size_t> bad = blamed_peers(); !bad.empty()) {
     restore_undetermined();
     return degrade(bad, "C");
@@ -441,53 +301,21 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
     restore_undetermined();
     return Error{s.code(), s.message()};
   }
-  result.exchange_seconds = max_delta(nic_a0, nic_clocks());
+  result.exchange_seconds = max_delta(nic_a0, clocks(&ServerClocks::nic));
 
   // ---- Phase D: parallel chunk storing on every origin.
   phase("D");
-  std::vector<std::vector<std::vector<IndexEntry>>> entry_out(
-      n, std::vector<std::vector<IndexEntry>>(m));
-  std::atomic<std::uint64_t> new_chunks{0};
-  std::atomic<std::uint64_t> new_bytes{0};
-
-  const std::vector<double> log_d0 = log_clocks();
+  const std::vector<double> log_d0 = clocks(&ServerClocks::log_disk);
   const double repo_d0 = repository_.max_node_seconds();
-  parallel_for(n, n, [&](std::size_t s) {
-    if (!alive[s]) return;
-    std::unordered_set<Fingerprint, FingerprintHash> dups;
-    for (std::size_t p = 0; p < m; ++p) {
-      // Verdict indices are validated against query_count at decode and
-      // above, so they index outbox[s][p] safely.
-      for (const std::uint32_t idx : verdict_inbox[s][p].duplicate_indices) {
-        dups.insert(outbox[s][p][idx]);
-      }
-    }
-    std::vector<Fingerprint> new_fps;
-    for (const Fingerprint& fp : local_undetermined[s]) {
-      if (!dups.contains(fp)) new_fps.push_back(fp);
-    }
-
-    Result<StoreResult> stored =
-        servers_[s]->chunk_store().store_new_chunks(new_fps);
-    if (!stored.ok()) {
-      phase_status[s] = Status(stored.error().code, stored.error().message);
-      return;
-    }
-    servers_[s]->chunk_store().clear_log();
-    new_chunks.fetch_add(stored.value().new_chunks);
-    new_bytes.fetch_add(stored.value().new_bytes);
-
-    for (const IndexEntry& e : stored.value().entries) {
-      entry_out[s][owner_of(e.fp)].push_back(e);
-    }
-  });
+  step_all([&](ClusterNode& node) { return node.store_chunks(); });
   if (Status s = check_phase_status(); !s.ok()) {
     return Error{s.code(), s.message()};
   }
-  result.new_chunks = new_chunks.load();
-  result.new_bytes = new_bytes.load();
+  result.new_chunks = sum(&NodeRoundResult::new_chunks);
+  result.new_bytes = sum(&NodeRoundResult::new_bytes);
+  result.orphans = sum(&NodeRoundResult::orphans);
   result.store_seconds =
-      std::max(max_delta(log_d0, log_clocks()),
+      std::max(max_delta(log_d0, clocks(&ServerClocks::log_disk)),
                repository_.max_node_seconds() - repo_d0);
 
   // Entries a previous round routed but never registered (phase E abort)
@@ -495,11 +323,22 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
   // stay queued for the round that re-admits it.
   for (std::size_t s = 0; s < n; ++s) {
     if (!alive[s]) continue;
-    for (const IndexEntry& e : deferred_entries_[s]) {
-      entry_out[s][owner_of(e.fp)].push_back(e);
-    }
+    nodes_[s].route_entries(deferred_entries_[s]);
     deferred_entries_[s].clear();
   }
+  auto defer = [&](std::size_t s) {
+    for (std::size_t p = 0; p < m; ++p) {
+      const std::vector<IndexEntry>& routed = nodes_[s].routed(p);
+      deferred_entries_[s].insert(deferred_entries_[s].end(), routed.begin(),
+                                  routed.end());
+    }
+  };
+  // Nothing commits this round: every surviving origin keeps its entries.
+  auto defer_round = [&] {
+    for (std::size_t s = 0; s < n; ++s) {
+      if (alive[s]) defer(s);
+    }
+  };
 
   // ---- Phase E: entries route to both copies of their partition; every
   // copy receives everything before anyone registers. A peer that dies
@@ -510,143 +349,46 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
   // for catch-up. Only a partition losing BOTH copies still aborts
   // all-or-nothing.
   phase("E");
-  parallel_for(n, n, [&](std::size_t s) {
-    if (!alive[s]) return;
-    for (std::size_t p = 0; p < m; ++p) {
-      for (std::size_t i = 0; i < map_.copy_count(); ++i) {
-        const std::size_t t = map_.copy(p, i).server;
-        if (t == s || !alive[t]) continue;
-        Status sent = servers_[s]->endpoint().send_buffered(
-            static_cast<net::EndpointId>(t),
-            net::IndexEntryBatch{entry_out[s][p], map_.epoch()});
-        if (!sent.ok()) note_failure(s, t);
-      }
-    }
-    for (std::size_t t = 0; t < n; ++t) {
-      if (t == s || !alive[t]) continue;
-      Status flushed =
-          servers_[s]->endpoint().flush(static_cast<net::EndpointId>(t));
-      if (!flushed.ok()) note_failure(s, t);
-    }
-  });
-  // entry_inbox[holder][part][origin].
-  std::vector<std::vector<std::vector<net::IndexEntryBatch>>> entry_inbox(
-      n, std::vector<std::vector<net::IndexEntryBatch>>(
-             m, std::vector<net::IndexEntryBatch>(n)));
-  parallel_for(n, n, [&](std::size_t t) {
-    if (!alive[t]) return;
-    // Ascending (part, origin) receive order matches the sender's
-    // ascending-part send order per (sender, receiver) pair, so the FIFO
-    // wire never hands a part-q batch to a part-p expect.
-    for (const std::size_t p : hosted_parts(t)) {
-      for (std::size_t s = 0; s < n; ++s) {
-        if (s == t) {
-          entry_inbox[t][p][s].entries = entry_out[t][p];
-          continue;
-        }
-        if (!alive[s]) continue;
-        Result<net::IndexEntryBatch> batch =
-            servers_[t]->endpoint().expect<net::IndexEntryBatch>(
-                static_cast<net::EndpointId>(s));
-        if (!batch.ok()) {
-          note_failure(t, s);
-          continue;
-        }
-        if (!epoch_ok(batch.value().epoch, t, s)) continue;
-        entry_inbox[t][p][s] = std::move(batch.value());
-      }
-    }
-  });
+  step_all([&](ClusterNode& node) { return node.send_entries(members); });
+  step_all([&](ClusterNode& node) { return node.collect_entries(members); });
   if (std::vector<std::size_t> late = blamed_peers(); !late.empty()) {
     for (const std::size_t b : late) {
       if (!alive[b]) continue;
       alive[b] = false;
       result.skipped_servers.push_back(b);
       director_.mark_unreachable(b);
-      for (std::size_t p = 0; p < m; ++p) {
-        deferred_entries_[b].insert(deferred_entries_[b].end(),
-                                    entry_out[b][p].begin(),
-                                    entry_out[b][p].end());
-        entry_out[b][p].clear();
-        // Drop what anyone received from the late peer: a copy that never
-        // heard from it must match the copies that did.
-        for (std::size_t t = 0; t < n; ++t) entry_inbox[t][p][b] = {};
-      }
+      defer(b);
+      // Drop what anyone received from the late peer: a copy that never
+      // heard from it must match the copies that did.
+      for (ClusterNode& node : nodes_) node.drop_origin(b);
     }
     for (std::size_t p = 0; p < m; ++p) {
       const bool preferred_alive = alive[map_.copy(p, 0).server];
       const bool backup_alive = replicated && alive[map_.copy(p, 1).server];
       if (preferred_alive || backup_alive) continue;
       // Both copies of part p are dark: nothing can commit this round.
-      for (std::size_t s = 0; s < n; ++s) {
-        if (!alive[s]) continue;
-        for (std::size_t q = 0; q < m; ++q) {
-          deferred_entries_[s].insert(deferred_entries_[s].end(),
-                                      entry_out[s][q].begin(),
-                                      entry_out[s][q].end());
-        }
-      }
+      defer_round();
       return degrade(late, "E");
     }
   }
   if (Status st = check_phase_status(); !st.ok()) {
     // Epoch mismatch mid-phase-E: nothing committed; keep the routed
     // entries for a round run against a consistent map.
-    for (std::size_t s = 0; s < n; ++s) {
-      if (!alive[s]) continue;
-      for (std::size_t q = 0; q < m; ++q) {
-        deferred_entries_[s].insert(deferred_entries_[s].end(),
-                                    entry_out[s][q].begin(),
-                                    entry_out[s][q].end());
-      }
-    }
+    defer_round();
     return Error{st.code(), st.message()};
   }
 
   // Commit: every live copy registers entries; PSIU when due or forced.
-  // Each copy applies the same per-(part, origin) batches in the same
-  // order, through the same serial bulk paths, so the device images of a
-  // partition's copies stay byte-identical while both live.
   phase("commit");
-  const std::vector<double> idx_e0 = index_clocks();
-  std::atomic<bool> ran_siu{false};
-  parallel_for(n, n, [&](std::size_t t) {
-    if (!alive[t]) return;
-    for (const std::size_t p : hosted_parts(t)) {
-      const PartitionCopy* copy = map_.copy_on(p, t);
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::span<const IndexEntry> entries(entry_inbox[t][p][s].entries);
-        if (copy->via_store) {
-          servers_[t]->chunk_store().add_pending(entries);
-        } else {
-          servers_[t]->part_replica(p).add_pending(entries);
-        }
-      }
-    }
-    if (force_siu || servers_[t]->chunk_store().siu_due()) {
-      Result<SiuResult> siu = servers_[t]->chunk_store().siu();
-      if (!siu.ok()) {
-        phase_status[t] = Status(siu.error().code, siu.error().message);
-        return;
-      }
-      ran_siu.store(true);
-    }
-    for (const std::size_t p : hosted_parts(t)) {
-      if (map_.copy_on(p, t)->via_store) continue;
-      IndexPartReplica& replica = servers_[t]->part_replica(p);
-      if (!(force_siu || replica.siu_due())) continue;
-      Result<SiuResult> siu = replica.siu();
-      if (!siu.ok()) {
-        phase_status[t] = Status(siu.error().code, siu.error().message);
-        return;
-      }
-    }
-  });
+  const std::vector<double> idx_e0 = clocks(&ServerClocks::index_disk);
+  step_all([&](ClusterNode& node) { return node.commit(force_siu); });
   if (Status s = check_phase_status(); !s.ok()) {
     return Error{s.code(), s.message()};
   }
-  result.ran_siu = ran_siu.load();
-  result.siu_seconds = max_delta(idx_e0, index_clocks());
+  for (std::size_t t = 0; t < n; ++t) {
+    if (alive[t] && nodes_[t].round_result().ran_siu) result.ran_siu = true;
+  }
+  result.siu_seconds = max_delta(idx_e0, clocks(&ServerClocks::index_disk));
 
   // Record what each dark copy missed: the surviving copy re-ships it
   // once the holder is reachable again (deliver_catch_up).
@@ -656,8 +398,9 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
       if (alive[t]) continue;
       for (std::size_t s = 0; s < n; ++s) {
         if (!alive[s]) continue;
-        catch_up_[t][p].insert(catch_up_[t][p].end(), entry_out[s][p].begin(),
-                               entry_out[s][p].end());
+        const std::vector<IndexEntry>& routed = nodes_[s].routed(p);
+        catch_up_[t][p].insert(catch_up_[t][p].end(), routed.begin(),
+                               routed.end());
       }
     }
   }
@@ -685,8 +428,7 @@ void Cluster::deliver_catch_up() {
       std::vector<IndexEntry>& owed = catch_up_[t][p];
       if (owed.empty()) continue;
       if (!transport_->reachable(static_cast<net::EndpointId>(t))) continue;
-      const PartitionCopy* mine = map_.copy_on(p, t);
-      if (mine == nullptr) {
+      if (map_.copy_on(p, t) == nullptr) {
         // A migration moved the copy elsewhere; the rebuild sourced from
         // the surviving copy, which already has these entries.
         owed.clear();
@@ -704,17 +446,7 @@ void Cluster::deliver_catch_up() {
           static_cast<net::EndpointId>(t),
           net::IndexEntryBatch{owed, map_.epoch()});
       if (!sent.ok()) continue;
-      Result<net::IndexEntryBatch> batch =
-          servers_[t]->endpoint().expect<net::IndexEntryBatch>(
-              static_cast<net::EndpointId>(sender));
-      if (!batch.ok()) continue;
-      if (batch.value().epoch != map_.epoch()) continue;
-      const std::span<const IndexEntry> entries(batch.value().entries);
-      if (mine->via_store) {
-        servers_[t]->chunk_store().add_pending(entries);
-      } else {
-        servers_[t]->part_replica(p).add_pending(entries);
-      }
+      if (!nodes_[t].receive_entries(sender, p).ok()) continue;
       owed.clear();
     }
   }
@@ -727,11 +459,7 @@ BackupServer& Cluster::server_ref(std::size_t slot) {
                                 : *staged_servers_[slot - servers_.size()];
 }
 
-Status Cluster::migration_preconditions() {
-  return migration_preconditions_excluding(kNoSlot);
-}
-
-Status Cluster::migration_preconditions_excluding(std::size_t exclude) {
+Status Cluster::migration_preconditions(std::size_t exclude) {
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     if (!deferred_entries_[s].empty()) {
       return {Errc::kInvalidArgument,
@@ -767,10 +495,7 @@ Status Cluster::migration_preconditions_excluding(std::size_t exclude) {
     for (std::size_t c = 0; c < map_.copy_count(); ++c) {
       const PartitionCopy& copy = map_.copy(p, c);
       if (copy.server == exclude) continue;
-      BackupServer& host = *servers_[copy.server];
-      const std::uint64_t pending =
-          copy.via_store ? host.chunk_store().pending_count()
-                         : host.part_replica(p).pending_count();
+      const std::uint64_t pending = nodes_[copy.server].hosted(p)->pending_count();
       if (pending != 0) {
         return {Errc::kInvalidArgument,
                 format("part {} copy on server {} has {} pending entries; "
@@ -782,39 +507,42 @@ Status Cluster::migration_preconditions_excluding(std::size_t exclude) {
   return Status::Ok();
 }
 
-Result<std::vector<IndexEntry>> Cluster::ship_entries(
-    std::size_t sender, std::size_t target, std::vector<IndexEntry> entries,
-    std::uint32_t epoch) {
-  if (sender == target) return entries;
-  const auto sender_id = static_cast<net::EndpointId>(sender);
-  const auto target_id = static_cast<net::EndpointId>(target);
-  if (Status sent = server_ref(sender).endpoint().send(
-          target_id, net::IndexEntryBatch{std::move(entries), epoch});
-      !sent.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("migration shipment {} -> {} failed", sender, target)};
+Status Cluster::stage_migrated(std::size_t sender, std::size_t part,
+                               const PartitionCopy& target,
+                               std::vector<IndexEntry> entries,
+                               const index::DiskIndexParams& params,
+                               std::uint32_t epoch,
+                               std::vector<StagedCopy>& staged) {
+  if (sender != target.server) {
+    const auto sender_id = static_cast<net::EndpointId>(sender);
+    const auto target_id = static_cast<net::EndpointId>(target.server);
+    if (Status sent = server_ref(sender).endpoint().send(
+            target_id, net::IndexEntryBatch{std::move(entries), epoch});
+        !sent.ok()) {
+      return {Errc::kUnavailable, format("migration shipment {} -> {} failed",
+                                         sender, target.server)};
+    }
+    Result<net::IndexEntryBatch> got =
+        server_ref(target.server).endpoint().expect<net::IndexEntryBatch>(
+            sender_id);
+    if (!got.ok()) {
+      return {Errc::kUnavailable, format("migration shipment {} -> {} lost",
+                                         sender, target.server)};
+    }
+    if (got.value().epoch != epoch) {
+      return {Errc::kInvalidArgument,
+              format("migration shipment {} -> {} carries epoch {}, "
+                     "expected {}",
+                     sender, target.server, got.value().epoch, epoch)};
+    }
+    entries = std::move(got.value().entries);
   }
-  Result<net::IndexEntryBatch> got =
-      server_ref(target).endpoint().expect<net::IndexEntryBatch>(sender_id);
-  if (!got.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("migration shipment {} -> {} lost", sender, target)};
-  }
-  if (got.value().epoch != epoch) {
-    return Error{Errc::kInvalidArgument,
-                 format("migration shipment {} -> {} carries epoch {}, "
-                        "expected {}",
-                        sender, target, got.value().epoch, epoch)};
-  }
-  return std::move(got.value().entries);
-}
-
-Result<index::DiskIndex> Cluster::build_staged_index(
-    BackupServer& host, const index::DiskIndexParams& params,
-    std::vector<IndexEntry> sorted) {
-  // The shared INSTALL kernel (core/maintenance.hpp); io_buckets comes
-  // from the host's own config, identical across the fleet.
-  return core::build_staged_index(host, params, std::move(sorted));
+  Result<index::DiskIndex> idx =
+      build_staged_index(server_ref(target.server), params, std::move(entries));
+  if (!idx.ok()) return idx.status();
+  staged.push_back(StagedCopy{part, target.server, target.via_store,
+                              std::move(idx).value()});
+  return Status::Ok();
 }
 
 Status Cluster::ensure_staged_servers(const PartitionMap& target) {
@@ -827,14 +555,9 @@ Status Cluster::ensure_staged_servers(const PartitionMap& target) {
     // A device fault during construction abandons this attempt before the
     // slot registers an endpoint; a later retry re-stages from scratch.
     if (!server->boot_status().ok()) return server->boot_status();
-    const auto id = static_cast<net::EndpointId>(slot);
-    if (Status registered = transport_->register_endpoint(id, &server->nic());
-        !registered.ok()) {
-      return registered;
+    if (Status attached = attach_endpoint(slot, *server); !attached.ok()) {
+      return attached;
     }
-    server->attach_endpoint(
-        std::make_unique<net::Endpoint>(transport_.get(), id, config_.retry,
-                                        config_.wire_codec));
     staged_servers_.push_back(std::move(server));
   }
   return Status::Ok();
@@ -844,7 +567,9 @@ Status Cluster::split() {
   Result<PartitionMap> next_map = map_.split();
   if (!next_map.ok()) return next_map.status();
   const PartitionMap& next = next_map.value();
-  if (Status ready = migration_preconditions(); !ready.ok()) return ready;
+  if (Status ready = migration_preconditions(kNoSlot); !ready.ok()) {
+    return ready;
+  }
   if (Status staged_fleet = ensure_staged_servers(next); !staged_fleet.ok()) {
     return staged_fleet;
   }
@@ -863,9 +588,8 @@ Status Cluster::split() {
   std::vector<StagedCopy> staged;
   for (std::size_t p = 0; p < map_.part_count(); ++p) {
     const PartitionCopy& source = map_.copy(p, 0);
-    Result<std::vector<IndexEntry>> extracted = index::extract_sorted_entries(
-        source.via_store ? servers_[source.server]->chunk_store().index()
-                         : servers_[source.server]->part_replica(p).index());
+    Result<std::vector<IndexEntry>> extracted =
+        index::extract_sorted_entries(nodes_[source.server].hosted(p)->index());
     if (!extracted.ok()) return extracted.status();
     // The sorted stream cuts cleanly: fingerprint order groups the new
     // low half (2p) before the high half (2p+1), and each half stays
@@ -878,15 +602,12 @@ Status Cluster::split() {
     for (std::size_t half = 0; half < 2; ++half) {
       const std::size_t q = 2 * p + half;
       for (std::size_t c = 0; c < next.copy_count(); ++c) {
-        const PartitionCopy& target = next.copy(q, c);
-        Result<std::vector<IndexEntry>> shipped = ship_entries(
-            source.server, target.server, halves[half], next.epoch());
-        if (!shipped.ok()) return shipped.status();
-        Result<index::DiskIndex> idx = build_staged_index(
-            server_ref(target.server), new_params, std::move(shipped).value());
-        if (!idx.ok()) return idx.status();
-        staged.push_back(StagedCopy{q, target.server, target.via_store,
-                                    std::move(idx).value()});
+        if (Status s = stage_migrated(source.server, q, next.copy(q, c),
+                                      halves[half], new_params, next.epoch(),
+                                      staged);
+            !s.ok()) {
+          return s;
+        }
       }
     }
   }
@@ -896,14 +617,10 @@ Status Cluster::split() {
   staged_servers_.clear();
   for (auto& server : servers_) server->detach_all_replicas();
   for (StagedCopy& copy : staged) {
-    BackupServer& host = *servers_[copy.slot];
-    if (copy.via_store) {
-      host.rebase_chunk_store_index(std::move(copy.idx));
-    } else {
-      host.adopt_replica(host.make_replica(copy.part, std::move(copy.idx)));
-    }
+    servers_[copy.server]->install_staged(std::move(copy));
   }
   map_ = std::move(next_map).value();
+  rebuild_nodes();
   config_.routing_bits = map_.routing_bits();
   deferred_entries_.assign(map_.server_slots(), {});
   catch_up_.assign(map_.server_slots(),
@@ -922,7 +639,7 @@ Status Cluster::drain(std::size_t slot) {
   // The draining slot itself is exempt from the health checks: draining a
   // DARK server is the whole point — its copies are rebuilt from the
   // surviving ones, never read.
-  if (Status ready = migration_preconditions_excluding(slot); !ready.ok()) {
+  if (Status ready = migration_preconditions(slot); !ready.ok()) {
     return ready;
   }
 
@@ -937,29 +654,24 @@ Status Cluster::drain(std::size_t slot) {
     if (map_.copy_on(p, slot) == nullptr) continue;
     const PartitionCopy& source = next.copy(p, 0);  // the promoted survivor
     const PartitionCopy& target = next.copy(p, 1);  // the replacement
-    Result<std::vector<IndexEntry>> extracted = index::extract_sorted_entries(
-        source.via_store ? servers_[source.server]->chunk_store().index()
-                         : servers_[source.server]->part_replica(p).index());
+    Result<std::vector<IndexEntry>> extracted =
+        index::extract_sorted_entries(nodes_[source.server].hosted(p)->index());
     if (!extracted.ok()) return extracted.status();
-    Result<std::vector<IndexEntry>> shipped =
-        ship_entries(source.server, target.server, std::move(extracted).value(),
-                     next.epoch());
-    if (!shipped.ok()) return shipped.status();
-    Result<index::DiskIndex> idx = build_staged_index(
-        *servers_[target.server], params, std::move(shipped).value());
-    if (!idx.ok()) return idx.status();
-    staged.push_back(
-        StagedCopy{p, target.server, /*via_store=*/false,
-                   std::move(idx).value()});
+    if (Status s = stage_migrated(source.server, p, target,
+                                  std::move(extracted).value(), params,
+                                  next.epoch(), staged);
+        !s.ok()) {
+      return s;
+    }
   }
 
   // ---- Commit: pure in-memory handover.
   for (StagedCopy& copy : staged) {
-    BackupServer& host = *servers_[copy.slot];
-    host.adopt_replica(host.make_replica(copy.part, std::move(copy.idx)));
+    servers_[copy.server]->install_staged(std::move(copy));
   }
   servers_[slot]->detach_all_replicas();
   map_ = std::move(next_map).value();
+  rebuild_nodes();
   director_.retire_server(slot);
   // Epoch-scoped dedup state: if this address is ever reused (or the slot
   // somehow reappears), its fresh frames must not be discarded as
@@ -977,108 +689,20 @@ Status Cluster::drain(std::size_t slot) {
 Result<std::vector<Byte>> Cluster::read_chunk(std::size_t via_server,
                                               const Fingerprint& fp) {
   assert(via_server < servers_.size());
-  BackupServer& via = *servers_[via_server];
   const auto via_id = static_cast<net::EndpointId>(via_server);
-
-  // LPC first (Section 3.3): only a cache miss pays the owner-side index
-  // lookup and the container fetch.
-  std::vector<Byte> bytes;
-  if (std::optional<std::vector<Byte>> hit = via.chunk_store().lpc_probe(fp)) {
-    bytes = std::move(*hit);
-  } else {
-    // Locate on either copy of the partition (DESIGN.md §5g): the
-    // preferred copy first, then the backup when the preferred holder is
-    // dark, silent, or answers "not found" (its copy may lag a catch-up
-    // the other copy already has).
-    const std::size_t owner = owner_of(fp);
-    std::optional<ContainerId> container;
-    Error last_error{Errc::kUnavailable,
-                     format("no copy of part {} reachable for locate", owner)};
-    for (std::size_t i = 0; i < map_.copy_count() && !container; ++i) {
-      const PartitionCopy& holder = map_.copy(owner, i);
-      const std::size_t h = holder.server;
-      const bool use_replica = !holder.via_store;
-      if (h == via_server) {
-        Result<ContainerId> located =
-            use_replica ? via.part_replica(owner).locate(fp)
-                        : via.chunk_store().locate(fp);
-        if (!located.ok()) {
-          last_error = located.error();
-          continue;
-        }
-        container = located.value();
-        continue;
-      }
-      // Locate round trip with the copy's holder over the transport.
-      const auto holder_id = static_cast<net::EndpointId>(h);
-      if (Status sent =
-              via.endpoint().send(holder_id, net::ChunkLocateRequest{fp});
-          !sent.ok()) {
-        director_.mark_unreachable(h);
-        last_error = Error{Errc::kUnavailable,
-                           format("copy holder {} unreachable for locate", h)};
-        continue;
-      }
-      Result<net::ChunkLocateRequest> request =
-          servers_[h]->endpoint().expect<net::ChunkLocateRequest>(via_id);
-      if (!request.ok()) {
-        last_error = Error{Errc::kUnavailable,
-                           format("locate request to holder {} lost", h)};
-        continue;
-      }
-      net::ChunkLocateReply reply;
-      Result<ContainerId> located =
-          use_replica ? servers_[h]->part_replica(owner).locate(
-                            request.value().fp)
-                      : servers_[h]->chunk_store().locate(request.value().fp);
-      if (located.ok()) {
-        reply.container = located.value();
-      } else {
-        reply.status = located.error().code;
-      }
-      if (Status sent = servers_[h]->endpoint().send(via_id, reply);
-          !sent.ok()) {
-        director_.mark_unreachable(h);
-        last_error = Error{Errc::kUnavailable,
-                           format("copy holder {} unreachable for reply", h)};
-        continue;
-      }
-      Result<net::ChunkLocateReply> got =
-          via.endpoint().expect<net::ChunkLocateReply>(holder_id);
-      if (!got.ok()) {
-        last_error = Error{Errc::kUnavailable,
-                           format("locate reply from holder {} lost", h)};
-        continue;
-      }
-      if (got.value().status != Errc::kOk) {
-        last_error = Error{got.value().status,
-                           format("chunk not located on holder {}", h)};
-        continue;
-      }
-      container = got.value().container;
-    }
-    if (!container) return last_error;
-    Result<std::vector<Byte>> chunk = via.chunk_store().read_chunk_at(
-        fp, *container);
-    if (!chunk.ok()) return chunk.error();
-    bytes = std::move(chunk.value());
+  // Each locate round trip's holder side runs inline, on the holder's node.
+  const LocateResponder answer = [&](std::size_t holder) {
+    StepOutcome answered = nodes_[holder].answer_locate(via_id);
+    if (!answered.unreachable.empty()) director_.mark_unreachable(holder);
+    return answered.status;
+  };
+  std::vector<std::size_t> unreachable;
+  Result<std::vector<Byte>> bytes = nodes_[via_server].read_chunk_via(
+      fp, *client_endpoint_, answer, &unreachable);
+  for (const std::size_t holder : unreachable) {
+    director_.mark_unreachable(holder);
   }
-
-  // The restored bytes cross the serving server's wire to the client as a
-  // real ChunkData frame (and round-trip its serialization).
-  if (Status sent =
-          via.endpoint().send(client_id(), net::ChunkData{fp, std::move(bytes)});
-      !sent.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("restore delivery from server {} failed", via_server)};
-  }
-  Result<net::ChunkData> delivered =
-      client_endpoint_->expect<net::ChunkData>(via_id);
-  if (!delivered.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("restore delivery from server {} lost", via_server)};
-  }
-  return std::move(delivered.value().bytes);
+  return bytes;
 }
 
 Result<Dataset> Cluster::restore(std::uint64_t job_id, std::uint32_t version,
@@ -1112,7 +736,7 @@ void Cluster::reset_clocks() {
 }
 
 Status Cluster::maintenance_preconditions() {
-  if (Status s = migration_preconditions(); !s.ok()) {
+  if (Status s = migration_preconditions(kNoSlot); !s.ok()) {
     // Every violated precondition is transient — pending SIU drains with
     // a forced round, deferred/owed entries re-ship, dark copies heal —
     // so maintenance reports the retryable kBusy, not the migration
@@ -1124,98 +748,39 @@ Status Cluster::maintenance_preconditions() {
 
 Result<std::vector<IndexEntry>> Cluster::maintenance_mark(
     std::size_t part, std::vector<Fingerprint> live_fps) {
-  const PartitionCopy& primary = map_.copy(part, 0);
-  const std::size_t host = primary.server;
-  net::GcMarkRequest request;
-  request.epoch = map_.epoch();
-  request.part = static_cast<std::uint32_t>(part);
-  request.fps = std::move(live_fps);
-  if (Status sent = client_endpoint_->send(
-          static_cast<net::EndpointId>(host), std::move(request));
-      !sent.ok()) {
-    return Error{sent.code(), sent.message()};
-  }
-  // The in-process cluster drives both ends of the exchange (the SPMD
-  // runner's peers serve it from their own loops — cluster_node.cpp).
-  Result<net::GcMarkRequest> received =
-      servers_[host]->endpoint().expect<net::GcMarkRequest>(client_id());
-  if (!received.ok()) return received.error();
-  if (received.value().epoch != map_.epoch()) {
-    return Error{Errc::kInvalidArgument,
-                 format("gc mark for epoch {} against map epoch {}",
-                        received.value().epoch, map_.epoch())};
-  }
-  const index::DiskIndex& idx =
-      primary.via_store ? servers_[host]->chunk_store().index()
-                        : servers_[host]->part_replica(part).index();
-  Result<std::vector<IndexEntry>> classified =
-      classify_live_entries(idx, received.value().fps);
-  if (!classified.ok()) return classified.error();
-  net::GcMarkReply reply;
-  reply.epoch = map_.epoch();
-  reply.part = static_cast<std::uint32_t>(part);
-  reply.entries = std::move(classified).value();
-  if (Status sent = servers_[host]->endpoint().send(client_id(),
-                                                    std::move(reply));
-      !sent.ok()) {
-    return Error{sent.code(), sent.message()};
-  }
-  Result<net::GcMarkReply> answer =
-      client_endpoint_->expect<net::GcMarkReply>(
-          static_cast<net::EndpointId>(host));
-  if (!answer.ok()) return answer.error();
-  if (answer.value().epoch != map_.epoch() ||
-      answer.value().part != part) {
-    return Error{Errc::kInvalidArgument, "gc mark reply epoch/part mismatch"};
-  }
-  return std::move(answer.value().entries);
+  const std::size_t host = map_.copy(part, 0).server;
+  return request_mark(*client_endpoint_, map_, part, std::move(live_fps),
+                      net::Deadline::after(config_.retry.receive_timeout),
+                      [&] { return nodes_[host].answer_mark(client_id()); });
 }
 
 Status Cluster::maintenance_install(std::size_t part,
                                     std::vector<IndexEntry> sorted) {
-  index::DiskIndexParams params = config_.server_config.index_params;
-  params.skip_bits = map_.routing_bits();
   for (std::size_t c = 0; c < map_.copy_count(); ++c) {
     const PartitionCopy& copy = map_.copy(part, c);
-    net::GcInstall install;
-    install.epoch = map_.epoch();
-    install.part = static_cast<std::uint32_t>(part);
-    install.via_store = copy.via_store ? 1 : 0;
-    install.entries = sorted;
     if (Status sent = client_endpoint_->send(
-            static_cast<net::EndpointId>(copy.server), std::move(install));
+            static_cast<net::EndpointId>(copy.server),
+            net::GcInstall{map_.epoch(), static_cast<std::uint32_t>(part),
+                           static_cast<std::uint8_t>(copy.via_store ? 1 : 0),
+                           sorted});
         !sent.ok()) {
       return sent;
     }
-    Result<net::GcInstall> received =
-        servers_[copy.server]->endpoint().expect<net::GcInstall>(client_id());
-    if (!received.ok()) return received.status();
-    if (received.value().epoch != map_.epoch()) {
-      return {Errc::kInvalidArgument,
-              format("gc install for epoch {} against map epoch {}",
-                     received.value().epoch, map_.epoch())};
+    if (Status staged = nodes_[copy.server].accept_install(client_id());
+        !staged.ok()) {
+      return staged;
     }
-    Result<index::DiskIndex> idx = build_staged_index(
-        *servers_[copy.server], params, std::move(received.value().entries));
-    if (!idx.ok()) return idx.status();
-    maintenance_staged_.push_back(StagedIndexCopy{
-        part, copy.server, copy.via_store, std::move(idx).value()});
   }
   return Status::Ok();
 }
 
-void Cluster::maintenance_commit_indexes() {
-  for (StagedIndexCopy& copy : maintenance_staged_) {
-    BackupServer& host = *servers_[copy.server];
-    if (copy.via_store) {
-      host.rebase_chunk_store_index(std::move(copy.idx));
-    } else {
-      host.adopt_replica(host.make_replica(copy.part, std::move(copy.idx)));
-    }
-  }
-  maintenance_staged_.clear();
+Status Cluster::maintenance_commit() {
+  for (ClusterNode& node : nodes_) node.commit_staged();
+  return Status::Ok();
 }
 
-void Cluster::maintenance_abort() { maintenance_staged_.clear(); }
+void Cluster::maintenance_abort() {
+  for (ClusterNode& node : nodes_) node.drop_staged();
+}
 
 }  // namespace debar::core

@@ -20,9 +20,16 @@
 //                   the pending (checking) set, and into the on-disk index
 //                   when SIU is due or forced.
 //
-// Phases are barriers, so per-phase elapsed time is the maximum of the
-// participating servers' modeled device times (plus the repository's
-// busiest node during storing).
+// Cluster is the in-process driver of that protocol: it hosts one
+// core::ClusterNode per server and runs each phase as one parallel_for
+// over the nodes' steps, the same steps the SPMD driver runs one node per
+// process (core/cluster_node.hpp). Cluster keeps only what spans servers:
+// round membership and phase-A failover, blame (distilling the peers the
+// nodes could not reach into servers to exclude), deferred phase-E
+// entries, catch-up, split/drain, the in-process answering of maintenance
+// requests, and per-phase modeled time — phases are barriers, so a
+// phase's elapsed time is the maximum of the servers' device-clock deltas
+// (plus the repository's busiest node during storing).
 //
 // Every inter-server exchange travels as a typed net::Message through a
 // net::Transport: the fingerprints, verdicts and index entries are
@@ -31,22 +38,18 @@
 //
 // Replication (DESIGN.md §5g) and elastic ownership (DESIGN.md §5j):
 // partition placement — which server serves each index part, through its
-// ChunkStore or through an IndexPartReplica — lives in an epoch-versioned
-// core::PartitionMap. Identity maps reproduce the classic layout (backup
-// copy of part p on server (p + 1) mod 2^w); split()/drain() produce the
-// post-transition permutations. Phase E dual-writes both copies before
-// the round commits; phase A/B and restore-locates fail over to the
-// other copy when the serving one is dark.
-// A single unreachable server therefore degrades a round — its partition
-// is served by the surviving copy, its own batches are excluded, its
-// undetermined fingerprints are restored — instead of aborting it. The
-// all-or-nothing abort (undetermined restored, routed entries deferred,
-// zero index mutation) remains for phase C/D deaths (a mid-PSIL origin
-// cannot be excised safely) and whenever BOTH copies of some partition
-// are unreachable. The director is told which servers to skip for job
-// assignment, and re-admits them when a round-start probe finds the
-// transport reaches them again; entries a dark copy missed are re-sent
-// from the surviving copy at that point (catch-up resync).
+// ChunkStore or through a replica IndexPart — lives in an epoch-versioned
+// core::PartitionMap. Phase E dual-writes both copies before the round
+// commits; phase A/B and restore-locates fail over to the other copy when
+// the serving one is dark. A single unreachable server therefore degrades
+// a round — its partition is served by the surviving copy, its own
+// batches are excluded, its undetermined fingerprints are restored —
+// instead of aborting it. The all-or-nothing abort (undetermined
+// restored, routed entries deferred, zero index mutation) remains for
+// phase C/D deaths (a mid-PSIL origin cannot be excised safely) and
+// whenever BOTH copies of some partition are unreachable. The director is
+// told which servers to skip for job assignment, and re-admits them when
+// a round-start probe finds the transport reaches them again.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +60,9 @@
 #include "common/result.hpp"
 #include "core/backup_engine.hpp"
 #include "core/backup_server.hpp"
+#include "core/cluster_node.hpp"
 #include "core/director.hpp"
+#include "core/maintenance.hpp"
 #include "core/partition_map.hpp"
 #include "net/endpoint.hpp"
 #include "net/transport_factory.hpp"
@@ -109,6 +114,9 @@ struct ClusterDedup2Result {
   std::uint64_t duplicates = 0;      // resolved on disk, pending, or multi-origin
   std::uint64_t new_chunks = 0;
   std::uint64_t new_bytes = 0;
+  /// New fingerprints phase D found no chunk for in the origin's log
+  /// (dropped, not registered); zero on a healthy round.
+  std::uint64_t orphans = 0;
   bool ran_siu = false;
   double exchange_seconds = 0.0;  // phases A + C (network)
   double sil_seconds = 0.0;       // phase B (max over owners)
@@ -128,7 +136,7 @@ struct ClusterDedup2Result {
   }
 };
 
-class Cluster {
+class Cluster final : public MaintenanceTarget {
  public:
   explicit Cluster(ClusterConfig config);
 
@@ -156,7 +164,7 @@ class Cluster {
   }
 
   /// The live partition map (placement + epoch).
-  [[nodiscard]] const PartitionMap& partition_map() const noexcept {
+  [[nodiscard]] const PartitionMap& partition_map() const noexcept override {
     return map_;
   }
   [[nodiscard]] std::uint32_t epoch() const noexcept { return map_.epoch(); }
@@ -192,37 +200,38 @@ class Cluster {
   // split()/drain(): every fallible step (wire exchanges, staged index
   // builds on freshly minted devices) happens before a pure in-memory
   // commit, so a crash anywhere in the prepare window leaves every
-  // committed image byte-identical to a never-attempted twin.
+  // committed image byte-identical to a never-attempted twin. Requests
+  // leave from the client endpoint; the hosting node answers each one
+  // inline (ClusterNode::answer_mark / accept_install).
 
   /// Quiescence gate. Every violated precondition — pending SIU on any
   /// copy, deferred phase-E entries, owed catch-up, an unreachable live
   /// slot — is transient (a forced round / heal clears it), so the error
   /// is the retryable kBusy rather than the migration gate's permanent-
   /// looking codes.
-  [[nodiscard]] Status maintenance_preconditions();
+  [[nodiscard]] Status maintenance_preconditions() override;
 
   /// Mark exchange for one partition: ship its sorted live fingerprints
   /// to the primary host (GcMarkRequest) and return the live
   /// <fp, container> entries the host classified out of its serving copy
   /// (GcMarkReply). Epoch-fenced both ways.
   [[nodiscard]] Result<std::vector<IndexEntry>> maintenance_mark(
-      std::size_t part, std::vector<Fingerprint> live_fps);
+      std::size_t part, std::vector<Fingerprint> live_fps) override;
 
   /// Install exchange for one partition: ship the canonical post-GC entry
-  /// stream to every copy host (GcInstall) and stage a rebuilt index
-  /// image there. Both copies are rebuilt from the same sorted stream,
-  /// so their images are byte-identical — this is what closes the
-  /// GC-era replica drift.
-  [[nodiscard]] Status maintenance_install(std::size_t part,
-                                           std::vector<IndexEntry> sorted);
+  /// stream to every copy host (GcInstall), which stages a rebuilt index
+  /// image. Both copies are rebuilt from the same sorted stream, so their
+  /// images are byte-identical — this is what closes the GC-era replica
+  /// drift.
+  [[nodiscard]] Status maintenance_install(
+      std::size_t part, std::vector<IndexEntry> sorted) override;
 
-  /// Swap every staged image in (rebase the primary's ChunkStore index /
-  /// adopt the rebuilt replica). Pure in-memory, cannot fail; the map
-  /// epoch does not advance because placement did not change.
-  void maintenance_commit_indexes();
+  /// Swap every node's staged images in. Pure in-memory, cannot fail; the
+  /// map epoch does not advance because placement did not change.
+  [[nodiscard]] Status maintenance_commit() override;
 
   /// Drop staged maintenance images (failed prepare).
-  void maintenance_abort();
+  void maintenance_abort() override;
 
   /// Restore-path chunk read: locate on the part owner, read and cache on
   /// the serving server.
@@ -250,27 +259,30 @@ class Cluster {
   /// transport-reachable, and zero pending entries on every live copy
   /// (callers run a forced-SIU round first, so the on-disk indexes are
   /// the whole truth and the rebuilt copies stay byte-identical to a
-  /// cluster born at the target topology).
-  [[nodiscard]] Status migration_preconditions();
-  /// Same checks with one slot exempted (the slot a drain is removing:
-  /// its copies are sourced from the survivors, never consulted).
-  [[nodiscard]] Status migration_preconditions_excluding(std::size_t exclude);
-  /// Move entries sender -> target as an epoch-stamped IndexEntryBatch
-  /// over the wire (skipped when sender == target: no self-frames).
-  [[nodiscard]] Result<std::vector<IndexEntry>> ship_entries(
-      std::size_t sender, std::size_t target,
-      std::vector<IndexEntry> entries, std::uint32_t epoch);
-  /// Fresh DiskIndex on `host`'s index device at `params`, loaded with
-  /// one sorted bulk insert (same capacity-scaling retry as SIU).
-  [[nodiscard]] Result<index::DiskIndex> build_staged_index(
-      BackupServer& host, const index::DiskIndexParams& params,
-      std::vector<IndexEntry> sorted);
+  /// cluster born at the target topology). `exclude` (a drain's slot, or
+  /// none) is exempt: its copies are sourced from the survivors, never
+  /// consulted.
+  [[nodiscard]] Status migration_preconditions(std::size_t exclude);
+  /// Move entries sender -> target.server as an epoch-stamped
+  /// IndexEntryBatch over the wire (no self-frames) and stage them there
+  /// as `part`'s rebuilt copy, on freshly minted devices at `params`.
+  [[nodiscard]] Status stage_migrated(std::size_t sender, std::size_t part,
+                                      const PartitionCopy& target,
+                                      std::vector<IndexEntry> entries,
+                                      const index::DiskIndexParams& params,
+                                      std::uint32_t epoch,
+                                      std::vector<StagedCopy>& staged);
   /// The server object for a slot, whether committed or still staged.
   [[nodiscard]] BackupServer& server_ref(std::size_t slot);
   /// Ensure BackupServer objects (with registered endpoints) exist for
   /// every slot of `target` beyond the committed fleet. Kept across
   /// failed prepare attempts: endpoints register once.
   [[nodiscard]] Status ensure_staged_servers(const PartitionMap& target);
+  /// One node per server slot, on the current map (rebuilt whenever the
+  /// map changes).
+  void rebuild_nodes();
+  /// Register `server`'s endpoint for `slot` on the cluster transport.
+  [[nodiscard]] Status attach_endpoint(std::size_t slot, BackupServer& server);
 
   ClusterConfig config_;
   PartitionMap map_;
@@ -281,6 +293,8 @@ class Cluster {
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<net::Endpoint> client_endpoint_;
   std::vector<std::unique_ptr<BackupServer>> servers_;
+  /// nodes_[k] runs server k's protocol steps.
+  std::vector<ClusterNode> nodes_;
   /// Servers created for a split that has not committed yet (slot index =
   /// servers_.size() + position). Their endpoints are registered at
   /// creation and survive failed prepare attempts; commit moves them into
@@ -294,16 +308,6 @@ class Cluster {
   /// copy's holder was dark: catch_up_[server][part], drained by
   /// deliver_catch_up once the holder is reachable again.
   std::vector<std::vector<std::vector<IndexEntry>>> catch_up_;
-
-  /// Rebuilt index images a maintenance prepare staged, waiting for
-  /// maintenance_commit_indexes / maintenance_abort.
-  struct StagedIndexCopy {
-    std::size_t part;
-    std::size_t server;
-    bool via_store;
-    index::DiskIndex idx;
-  };
-  std::vector<StagedIndexCopy> maintenance_staged_;
 };
 
 }  // namespace debar::core

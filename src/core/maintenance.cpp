@@ -51,24 +51,11 @@ Result<index::DiskIndex> build_staged_index(BackupServer& host,
       index::DiskIndex::create(host.mint_index_device(), params);
   if (!created.ok()) return created.error();
   index::DiskIndex idx = std::move(created).value();
-  const std::uint64_t io_buckets = host.config().chunk_store.io_buckets;
-  std::vector<IndexEntry> entries = std::move(sorted);
-  while (!entries.empty()) {
-    std::uint64_t inserted = 0;
-    std::vector<std::size_t> failed;
-    Status status = idx.bulk_insert(entries, io_buckets, &inserted, &failed);
-    if (status.ok()) break;
-    if (status.code() != Errc::kFull) {
-      return Error{status.code(), status.message()};
-    }
-    // Same capacity-scaling loop as SIU: grow, retry what did not fit.
-    Result<index::DiskIndex> grown = idx.scaled(host.mint_index_device());
-    if (!grown.ok()) return grown.error();
-    idx = std::move(grown).value();
-    std::vector<IndexEntry> retry;
-    retry.reserve(failed.size());
-    for (const std::size_t i : failed) retry.push_back(entries[i]);
-    entries = std::move(retry);
+  if (Status s = index::insert_with_scaling(
+          idx, std::move(sorted), host.config().chunk_store.io_buckets,
+          [&host] { return host.mint_index_device(); });
+      !s.ok()) {
+    return Error{s.code(), s.message()};
   }
   return idx;
 }
@@ -93,38 +80,26 @@ MaintenanceJob::MaintenanceJob(Director& director, BackupServer& server,
                                storage::ChunkRepository& repository,
                                MaintenanceConfig config)
     : director_(&director),
-      server_(&server),
+      own_node_(std::make_unique<ClusterNode>(ClusterNodeConfig{}, &server)),
+      target_(own_node_.get()),
       repository_(&repository),
       config_(config) {}
 
 MaintenanceJob::MaintenanceJob(Cluster& cluster, MaintenanceConfig config)
     : director_(&cluster.director()),
-      cluster_(&cluster),
+      target_(&cluster),
       repository_(&cluster.repository()),
       config_(config) {}
 
-MaintenanceJob::MaintenanceJob(ClusterNode& node, Director& director,
+MaintenanceJob::MaintenanceJob(MaintenanceTarget& target, Director& director,
                                storage::ChunkRepository& repository,
                                MaintenanceConfig config)
     : director_(&director),
-      node_(&node),
+      target_(&target),
       repository_(&repository),
       config_(config) {}
 
-Status MaintenanceJob::preconditions() const {
-  if (cluster_ != nullptr) return cluster_->maintenance_preconditions();
-  if (node_ != nullptr) return node_->maintenance_preconditions();
-  if (server_->chunk_store().index().params().skip_bits != 0) {
-    return {Errc::kUnsupported,
-            "routed index parts need the Cluster maintenance form"};
-  }
-  if (server_->chunk_store().pending_count() > 0) {
-    return {Errc::kBusy,
-            format("maintenance cannot run with {} SIU entries pending",
-                   server_->chunk_store().pending_count())};
-  }
-  return Status::Ok();
-}
+MaintenanceJob::~MaintenanceJob() = default;
 
 std::uint32_t MaintenanceJob::today() const {
   return config_.today != 0 ? config_.today : director_->current_day();
@@ -147,35 +122,11 @@ Result<LiveMap> MaintenanceJob::mark(
   LiveMap live_map;
   live_map.reserve(fps.size());
 
-  const auto fold = [&](std::span<const Fingerprint> asked,
-                        const std::vector<IndexEntry>& entries) -> Status {
-    if (entries.size() != asked.size()) {
-      // A recorded chunk with no index mapping would be unreachable;
-      // refusing to reclaim is the only safe move.
-      return {Errc::kCorrupt,
-              format("{} live fingerprints missing from the index; "
-                     "aborting maintenance",
-                     asked.size() - entries.size())};
-    }
-    for (const IndexEntry& e : entries) live_map.emplace(e.fp, e.container);
-    return Status::Ok();
-  };
-
-  if (cluster_ == nullptr && node_ == nullptr) {
-    Result<std::vector<IndexEntry>> live =
-        classify_live_entries(server_->chunk_store().index(), fps);
-    if (!live.ok()) return live.error();
-    if (Status s = fold(fps, live.value()); !s.ok()) {
-      return Error{s.code(), s.message()};
-    }
-    return live_map;
-  }
-
-  // Cluster / SPMD: one epoch-fenced wire exchange per partition. The
-  // sorted stream cuts into contiguous per-part runs (the routing bits
-  // are the most significant ones).
-  const PartitionMap& map =
-      cluster_ != nullptr ? cluster_->partition_map() : node_->map();
+  // One classification per partition, by the node hosting its primary
+  // copy. The sorted stream cuts into contiguous per-part runs (the
+  // routing bits are the most significant ones); a lone server is the
+  // one-partition case.
+  const PartitionMap& map = target_->partition_map();
   std::size_t begin = 0;
   for (std::size_t part = 0; part < map.part_count(); ++part) {
     std::size_t end = begin;
@@ -183,15 +134,18 @@ Result<LiveMap> MaintenanceJob::mark(
     if (end == begin) continue;  // no live fps routed here
     std::vector<Fingerprint> slice(fps.begin() + begin, fps.begin() + end);
     Result<std::vector<IndexEntry>> live =
-        cluster_ != nullptr
-            ? cluster_->maintenance_mark(part, std::move(slice))
-            : node_->maintenance_mark(part, std::move(slice));
+        target_->maintenance_mark(part, std::move(slice));
     if (!live.ok()) return live.error();
-    if (Status s = fold(std::span<const Fingerprint>(fps).subspan(
-                            begin, end - begin),
-                        live.value());
-        !s.ok()) {
-      return Error{s.code(), s.message()};
+    if (live.value().size() != end - begin) {
+      // A recorded chunk with no index mapping would be unreachable;
+      // refusing to reclaim is the only safe move.
+      return Error{Errc::kCorrupt,
+                   format("{} live fingerprints missing from the index; "
+                          "aborting maintenance",
+                          end - begin - live.value().size())};
+    }
+    for (const IndexEntry& e : live.value()) {
+      live_map.emplace(e.fp, e.container);
     }
     begin = end;
   }
@@ -225,7 +179,7 @@ std::vector<const JobVersionRecord*> MaintenanceJob::fragmented_versions(
 }
 
 Result<MaintenancePlan> MaintenanceJob::plan() {
-  if (Status s = preconditions(); !s.ok()) return Error{s.code(), s.message()};
+  if (Status s = target_->maintenance_preconditions(); !s.ok()) return Error{s.code(), s.message()};
   MaintenancePlan plan;
   if (config_.expire) plan.expire = director_->expired_versions(today());
   const std::vector<JobVersionRecord> versions =
@@ -253,55 +207,33 @@ Status MaintenanceJob::install_and_commit(const LiveMap& live_map,
       sorted.begin(), sorted.end(),
       [](const IndexEntry& a, const IndexEntry& b) { return a.fp < b.fp; });
 
-  if (cluster_ == nullptr && node_ == nullptr) {
-    Result<index::DiskIndex> idx = build_staged_index(
-        *server_, server_->chunk_store().index().params(), std::move(sorted));
-    if (!idx.ok()) return idx.status();
-    // ---- COMMIT: pure in-memory from here. ----
-    publish_staged(*repository_, std::move(plan.staged));
-    server_->rebase_chunk_store_index(std::move(idx).value());
-    return remove_containers(*repository_, plan.to_remove);
-  }
-
-  // Cluster / SPMD: every partition gets its slice installed on every
-  // copy — including empty slices, which clear partitions whose entries
-  // all died.
-  const PartitionMap& map =
-      cluster_ != nullptr ? cluster_->partition_map() : node_->map();
+  // Every partition gets its slice installed on every copy — including
+  // empty slices, which clear partitions whose entries all died.
+  const PartitionMap& map = target_->partition_map();
   std::size_t begin = 0;
   for (std::size_t part = 0; part < map.part_count(); ++part) {
     std::size_t end = begin;
     while (end < sorted.size() && map.owner_of(sorted[end].fp) == part) ++end;
     std::vector<IndexEntry> slice(sorted.begin() + begin,
                                   sorted.begin() + end);
-    Status s = cluster_ != nullptr
-                   ? cluster_->maintenance_install(part, std::move(slice))
-                   : node_->maintenance_install(part, std::move(slice));
-    if (!s.ok()) {
-      if (cluster_ != nullptr) {
-        cluster_->maintenance_abort();
-      } else {
-        node_->maintenance_abort();
-      }
+    if (Status s = target_->maintenance_install(part, std::move(slice));
+        !s.ok()) {
+      target_->maintenance_abort();
       return s;
     }
     begin = end;
   }
-  // ---- COMMIT: pure in-memory from here (the SPMD form additionally
+  // ---- COMMIT: pure in-memory from here (an SPMD driver additionally
   // releases its peers; a lost ack means a dead peer, not a torn state,
   // and is reported without undoing the local commit). ----
   publish_staged(*repository_, std::move(plan.staged));
-  if (cluster_ != nullptr) {
-    cluster_->maintenance_commit_indexes();
-  } else if (Status s = node_->maintenance_commit(); !s.ok()) {
-    return s;
-  }
+  if (Status s = target_->maintenance_commit(); !s.ok()) return s;
   return remove_containers(*repository_, plan.to_remove);
 }
 
 Status MaintenanceJob::execute() {
   report_ = MaintenanceReport{};
-  if (Status s = preconditions(); !s.ok()) return s;
+  if (Status s = target_->maintenance_preconditions(); !s.ok()) return s;
 
   // ---- EXPIRE ----
   std::vector<std::pair<std::uint64_t, std::uint32_t>> expired;

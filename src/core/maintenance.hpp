@@ -3,26 +3,31 @@
 // (DESIGN.md §5k).
 //
 // The job-object idiom backup and restore already use: construct against
-// a single server or a cluster, plan() to see what a round would do,
-// execute() to run it, report() for the structured outcome. One round is
+// a maintenance target, plan() to see what a round would do, execute() to
+// run it, report() for the structured outcome. One round is
 //
 //   EXPIRE   drop versions the director's RetentionPolicy has aged out
 //            (keep-last-N / keep-days; the latest version of every job
 //            chain always survives);
 //   MARK     resolve every surviving version's fingerprints to containers
 //            through the index — one sequential extraction per partition
-//            copy, shipped over the wire in cluster mode (GcMarkRequest /
-//            GcMarkReply, epoch-fenced);
+//            by its primary copy's node (GcMarkRequest / GcMarkReply,
+//            epoch-fenced, when that node is remote);
 //   COMPACT  stage locality rewrites (core/defrag.hpp) for fragmented
 //            versions, newest first, then sweep containers
 //            (core/gc.hpp): fully-dead ones are deleted, mostly-dead
 //            ones compacted into staged containers under reserved IDs;
-//   INSTALL  rebuild every index copy of every partition from the
-//            canonical post-GC sorted entry stream on freshly minted
-//            devices (both copies from the same stream — byte-identical,
-//            closing the GC-era replica drift);
-//   COMMIT   publish staged containers, swap the staged indexes in (pure
+//   INSTALL  rebuild every copy of every partition from the canonical
+//            post-GC sorted entry stream on freshly minted devices (both
+//            copies from the same stream — byte-identical, closing the
+//            GC-era replica drift);
+//   COMMIT   publish staged containers, swap every staged copy in (pure
 //            in-memory), remove dead containers.
+//
+// MARK and INSTALL are each one loop over a MaintenanceTarget's
+// partitions: a Cluster, the SPMD driver ClusterNode, or a lone server —
+// the one-partition ClusterNode of PartitionMap::identity(0), whose every
+// copy is local, so it needs no endpoint.
 //
 // Every fallible step happens before COMMIT, so a crash anywhere in the
 // window leaves the old state byte-identical to a never-attempted twin
@@ -31,11 +36,12 @@
 // The job refuses to start with the retryable kBusy while dedup-2 state
 // is in flight (pending SIU entries on any copy, deferred phase-E
 // entries, owed catch-up, an unreachable live slot) and with the
-// permanent kUnsupported when the single-server form is pointed at a
-// routed index part (use the Cluster form).
+// permanent kUnsupported when a server's index is a routed part of a
+// wider fingerprint space than its target's map (use the Cluster form).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -51,6 +57,28 @@ namespace debar::core {
 class BackupServer;  // core/backup_server.hpp
 class Cluster;       // core/cluster.hpp
 class ClusterNode;   // core/cluster_node.hpp
+class PartitionMap;  // core/partition_map.hpp
+
+/// The index side of a maintenance round: per-partition MARK (the live
+/// <fp, container> entries of sorted live fingerprints, classified by the
+/// primary copy) and INSTALL (stage every copy rebuilt from the sorted
+/// live stream), then COMMIT (swap every staged copy in; nothing fallible
+/// left) or abort (drop them). Preconditions fail with the retryable
+/// kBusy while dedup-2 state is in flight.
+class MaintenanceTarget {
+ public:
+  [[nodiscard]] virtual const PartitionMap& partition_map() const = 0;
+  [[nodiscard]] virtual Status maintenance_preconditions() = 0;
+  [[nodiscard]] virtual Result<std::vector<IndexEntry>> maintenance_mark(
+      std::size_t part, std::vector<Fingerprint> live_fps) = 0;
+  [[nodiscard]] virtual Status maintenance_install(
+      std::size_t part, std::vector<IndexEntry> sorted) = 0;
+  [[nodiscard]] virtual Status maintenance_commit() = 0;
+  virtual void maintenance_abort() = 0;
+
+ protected:
+  ~MaintenanceTarget() = default;  // never owned through this interface
+};
 
 struct MaintenanceConfig {
   /// Stage toggles: expire versions per the director's retention policy,
@@ -120,12 +148,15 @@ class MaintenanceJob {
   /// partition copy is rebuilt (DESIGN.md §5k).
   explicit MaintenanceJob(Cluster& cluster, MaintenanceConfig config = {});
 
-  /// SPMD form: `node` is the driver of a round whose peers all sit in
-  /// ClusterNode::serve_maintenance; the director and repository are the
-  /// driver process's (debar_clusterd hosts them at node 0).
-  MaintenanceJob(ClusterNode& node, Director& director,
+  /// Any other target — in practice the SPMD driver ClusterNode, whose
+  /// peers all sit in ClusterNode::serve_maintenance; the director and
+  /// repository are the driver process's (debar_clusterd hosts them at
+  /// node 0).
+  MaintenanceJob(MaintenanceTarget& target, Director& director,
                  storage::ChunkRepository& repository,
                  MaintenanceConfig config = {});
+
+  ~MaintenanceJob();
 
   /// Read-only preview: what execute() would expire and rewrite. Same
   /// preconditions as execute (kBusy / kUnsupported).
@@ -141,7 +172,6 @@ class MaintenanceJob {
   }
 
  private:
-  [[nodiscard]] Status preconditions() const;
   [[nodiscard]] std::uint32_t today() const;
   /// Live versions after dropping `expired` (query only — nothing
   /// dropped yet).
@@ -156,14 +186,14 @@ class MaintenanceJob {
   [[nodiscard]] std::vector<const JobVersionRecord*> fragmented_versions(
       const std::vector<JobVersionRecord>& versions,
       const LiveMap& live_map) const;
-  /// INSTALL + COMMIT for the backend in use.
+  /// INSTALL + COMMIT.
   [[nodiscard]] Status install_and_commit(const LiveMap& live_map,
                                           SweepPlan plan);
 
   Director* director_;
-  BackupServer* server_ = nullptr;  // single-server form
-  Cluster* cluster_ = nullptr;      // cluster form
-  ClusterNode* node_ = nullptr;     // SPMD form (driver node)
+  /// The single-server form's one-partition node (null otherwise).
+  std::unique_ptr<ClusterNode> own_node_;
+  MaintenanceTarget* target_;
   storage::ChunkRepository* repository_;
   MaintenanceConfig config_;
   MaintenanceReport report_;
@@ -171,16 +201,15 @@ class MaintenanceJob {
 
 /// Classify an index copy's entries against a sorted live fingerprint
 /// set: one sequential extraction, then a linear merge. Returns the
-/// entries whose fingerprint is live — the GcMarkReply payload. Shared by
-/// the in-process cluster and the SPMD peer loop.
+/// entries whose fingerprint is live — the GcMarkReply payload.
 [[nodiscard]] Result<std::vector<IndexEntry>> classify_live_entries(
     const index::DiskIndex& idx, std::span<const Fingerprint> sorted_live);
 
 /// Bulk-load `sorted` into a fresh index on one of `host`'s minted
-/// devices, growing on kFull with the same capacity-scaling loop SIU
-/// uses. The INSTALL kernel every backend shares (in-process cluster,
-/// single server, SPMD peer) — determinism of the rebuilt image is what
-/// makes the two copies of a partition byte-identical.
+/// devices, growing on kFull with the capacity-scaling loop SIU uses
+/// (index::insert_with_scaling). The staging kernel of maintenance
+/// INSTALL and migration prepare — determinism of the rebuilt image is
+/// what makes the two copies of a partition byte-identical.
 [[nodiscard]] Result<index::DiskIndex> build_staged_index(
     BackupServer& host, const index::DiskIndexParams& params,
     std::vector<IndexEntry> sorted);

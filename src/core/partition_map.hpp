@@ -12,7 +12,7 @@
 // ordered pair of copies (copies[0] is the preferred serving copy, copies[1]
 // the backup), each copy naming a server slot and whether that server serves
 // the partition through its primary ChunkStore index or through an attached
-// IndexPartReplica. A monotonically increasing epoch versions the map; wire
+// replica IndexPart. A monotonically increasing epoch versions the map; wire
 // batches carry the epoch so a node holding a stale map rejects traffic from
 // the future (and vice versa) instead of silently mis-routing fingerprints.
 //
@@ -46,7 +46,7 @@ namespace debar::core {
 
 /// One placement of a partition: which server slot holds it and whether that
 /// server serves it via its primary ChunkStore index (via_store) or via an
-/// attached IndexPartReplica.
+/// attached replica IndexPart.
 struct PartitionCopy {
   std::size_t server = 0;
   bool via_store = true;

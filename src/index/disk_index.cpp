@@ -9,6 +9,7 @@
 
 #include "common/channel.hpp"
 #include "common/fmt.hpp"
+#include "common/log.hpp"
 #include "common/serial.hpp"
 #include "common/thread_pool.hpp"
 #include "storage/io_retry.hpp"
@@ -943,6 +944,39 @@ Result<IndexStats> DiskIndex::stats() const {
   st.full_fraction = static_cast<double>(st.full_buckets) /
                      static_cast<double>(st.buckets);
   return st;
+}
+
+Status insert_with_scaling(DiskIndex& idx, std::vector<IndexEntry> entries,
+                           std::uint64_t io_buckets, const DeviceFactory& mint,
+                           const ParallelIoOptions& par,
+                           std::uint64_t* inserted, std::uint64_t* scalings) {
+  while (!entries.empty()) {
+    std::uint64_t applied = 0;
+    std::vector<std::size_t> failed;
+    const std::span<const IndexEntry> batch(entries);
+    Status s = par.parallel()
+                   ? idx.bulk_insert_pipelined(batch, io_buckets, par,
+                                               &applied, &failed)
+                   : idx.bulk_insert(batch, io_buckets, &applied, &failed);
+    if (inserted != nullptr) *inserted += applied;
+    if (s.ok()) break;
+    if (s.code() != Errc::kFull) return s;
+
+    // Capacity scaling (Section 4.1): rebuild at 2^{n+1} buckets, then
+    // re-apply only the entries that could not be placed.
+    DEBAR_LOG_INFO("disk index full at {} entries; scaling capacity",
+                   idx.entry_count());
+    Result<DiskIndex> grown = idx.scaled(mint());
+    if (!grown.ok()) return grown.status();
+    idx = std::move(grown).value();
+    if (scalings != nullptr) ++*scalings;
+
+    std::vector<IndexEntry> retry;
+    retry.reserve(failed.size());
+    for (const std::size_t i : failed) retry.push_back(entries[i]);
+    entries = std::move(retry);
+  }
+  return Status::Ok();
 }
 
 Result<std::vector<IndexEntry>> extract_sorted_entries(const DiskIndex& idx) {

@@ -311,6 +311,22 @@ class DiskIndex {
   bool needs_scaling_ = false;
 };
 
+/// Mints a fresh block device for an index to scale onto.
+using DeviceFactory = std::function<std::unique_ptr<storage::BlockDevice>()>;
+
+/// Bulk-insert sorted `entries` (bulk_insert's contract), growing on
+/// demand: whenever a pass returns kFull, scale `idx` to 2^{n+1} buckets
+/// on a device from `mint` (Section 4.1) and re-apply only the entries
+/// that did not fit. A parallel `par` takes the pipelined insert path.
+/// `inserted` / `scalings` accumulate entries applied and doublings.
+[[nodiscard]] Status insert_with_scaling(DiskIndex& idx,
+                                         std::vector<IndexEntry> entries,
+                                         std::uint64_t io_buckets,
+                                         const DeviceFactory& mint,
+                                         const ParallelIoOptions& par = {},
+                                         std::uint64_t* inserted = nullptr,
+                                         std::uint64_t* scalings = nullptr);
+
 /// Full scan of an index, sorted by fingerprint — the canonical entry
 /// stream a staged copy is rebuilt from. Bucket order is not fingerprint
 /// order (overflow entries live in neighbour buckets), so migration and

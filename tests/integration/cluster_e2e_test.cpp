@@ -67,6 +67,7 @@ TEST(ClusterE2eTest, FourServersVersionedStreamsWithCrossDup) {
     }
     const auto result = cluster.run_dedup2(/*force_siu=*/true);
     ASSERT_TRUE(result.ok()) << result.error().to_string();
+    EXPECT_EQ(result.value().orphans, 0u);
     total_new += result.value().new_chunks;
   }
 
@@ -114,7 +115,9 @@ TEST(ClusterE2eTest, NoChunkStoredTwiceAcrossTheCluster) {
   for (int round = 0; round < 2; ++round) {
     backup_stream(cluster, 0, j0, fps);
     backup_stream(cluster, 1, j1, fps);
-    ASSERT_TRUE(cluster.run_dedup2(true).ok());
+    const auto result = cluster.run_dedup2(true);
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    EXPECT_EQ(result.value().orphans, 0u);
   }
 
   // Scan every container in the repository: each fingerprint must appear
@@ -147,6 +150,7 @@ TEST(ClusterE2eTest, ScalesToEightServers) {
   const auto r = cluster.run_dedup2(true);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().new_chunks, 500u);
+  EXPECT_EQ(r.value().orphans, 0u);
 
   // Index entries spread across all 8 parts (uniform fingerprints).
   std::size_t parts_with_entries = 0;

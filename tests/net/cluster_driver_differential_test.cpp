@@ -90,7 +90,8 @@ std::vector<Byte> device_image(const index::DiskIndex& idx) {
 }
 
 struct Outcome {
-  /// Per round: undetermined, duplicates, new chunks, new bytes, SIU ran.
+  /// Per round: undetermined, duplicates, new chunks, new bytes, orphans,
+  /// SIU ran.
   std::vector<std::uint64_t> rounds;
   /// images[part][copy], in the map's copy order.
   std::vector<std::vector<std::vector<Byte>>> images;
@@ -138,8 +139,9 @@ Outcome run_orchestrated(unsigned w, net::WireCodecConfig codec,
     const ClusterDedup2Result& res = round.value();
     out.rounds.insert(out.rounds.end(),
                       {res.undetermined, res.duplicates, res.new_chunks,
-                       res.new_bytes, res.ran_siu ? 1u : 0u});
+                       res.new_bytes, res.orphans, res.ran_siu ? 1u : 0u});
     EXPECT_FALSE(res.degraded());
+    EXPECT_EQ(res.orphans, 0u) << "round " << r;
   }
   for (std::uint32_t v = 1; v <= kRounds; ++v) {
     const Result<Dataset> restored = cluster.restore(job, v, /*via=*/0);
@@ -219,11 +221,13 @@ Outcome run_spmd(unsigned w, net::WireCodecConfig codec, std::uint64_t seed) {
       sum.duplicates += res.duplicates;
       sum.new_chunks += res.new_chunks;
       sum.new_bytes += res.new_bytes;
+      sum.orphans += res.orphans;
       sum.ran_siu = sum.ran_siu || res.ran_siu;
     }
     out.rounds.insert(out.rounds.end(),
                       {sum.undetermined, sum.duplicates, sum.new_chunks,
-                       sum.new_bytes, sum.ran_siu ? 1u : 0u});
+                       sum.new_bytes, sum.orphans, sum.ran_siu ? 1u : 0u});
+    EXPECT_EQ(sum.orphans, 0u) << "round " << r;
   }
 
   // Restores through node 0; every peer answers locates from its serve
@@ -284,7 +288,7 @@ TEST_P(ClusterDriverDifferentialTest, OrchestratedMatchesSpmd) {
   const Outcome spmd = run_spmd(w, codec, seed);
 
   // Summed per-node counters equal the orchestrated round's.
-  ASSERT_EQ(cluster.rounds.size(), static_cast<std::size_t>(kRounds) * 5);
+  ASSERT_EQ(cluster.rounds.size(), static_cast<std::size_t>(kRounds) * 6);
   EXPECT_EQ(cluster.rounds, spmd.rounds);
 
   // Every copy of every partition: the same image under both drivers, and
